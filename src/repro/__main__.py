@@ -515,13 +515,11 @@ def build_parser() -> argparse.ArgumentParser:
              "instead of work stealing",
     )
     exhaustive.add_argument(
-        "--por", choices=("sleep", "source", "optimal"), default="optimal",
-        help="partial-order-reduction flavor: 'optimal' (source-DPOR with "
-             "wakeup-tree continuations and patch cuts, the default), "
-             "'source' (plain source-DPOR) or 'sleep' (classic sleep "
-             "sets); all three give identical verdicts and "
-             "distinct-configuration counts and the slower flavors stay "
-             "as differential oracles",
+        "--por", choices=("sleep", "source"), default="source",
+        help="partial-order-reduction flavor: 'source' (source-DPOR, the "
+             "default) or 'sleep' (classic sleep sets); both give "
+             "identical verdicts and distinct-configuration counts and "
+             "sleep stays as a differential oracle",
     )
     exhaustive.add_argument(
         "--spill", metavar="DIR", default=None,
@@ -631,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument(
         "--sections", default=None, metavar="NAMES",
         help="comma-separated top-level sections to gate on (e.g. "
-             "dpor_3r,optimal_3r); other sections are ignored entirely",
+             "dpor_3r); other sections are ignored entirely",
     )
     diff.set_defaults(fn=cmd_bench_diff)
 

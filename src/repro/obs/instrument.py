@@ -152,20 +152,19 @@ class Instrumentation:
 
     # -- pipeline recording hooks --------------------------------------
 
-    def record_explore(self, stats: Any, kind: str,
-                       entry: Optional[str] = None) -> None:
+    def record_explore(self, stats: Any, kind: str) -> None:
         """Fold one exploration run's :class:`ExploreStats` into metrics.
 
         All ``explore.*`` instruments are *work* metrics: frontier-split
         workers re-expand subtree-shared states, so their totals may
-        exceed a serial run's.
+        exceed a serial run's.  They carry the ``kind`` label only, in
+        every execution mode (serial, static split, work stealing), so
+        the metric key set does not depend on how a scope was run.
         """
         if self.metrics is None:
             return
         m = self.metrics
         labels = {"kind": kind}
-        if entry is not None:
-            labels["entry"] = entry
         m.counter("explore.runs", **labels).inc()
         m.counter("explore.configurations", **labels).inc(
             stats.configurations
@@ -220,22 +219,6 @@ class Instrumentation:
         if stats.dpor_full_expansions:
             m.counter("explore.dpor.full_expansions", **labels).inc(
                 stats.dpor_full_expansions
-            )
-        if stats.dpor_wakeup_branches:
-            m.counter("explore.dpor.wakeup_branches", **labels).inc(
-                stats.dpor_wakeup_branches
-            )
-        if stats.dpor_wakeup_fallbacks:
-            m.counter("explore.dpor.wakeup_fallbacks", **labels).inc(
-                stats.dpor_wakeup_fallbacks
-            )
-        if stats.dpor_patch_cuts:
-            m.counter("explore.dpor.patch_cuts", **labels).inc(
-                stats.dpor_patch_cuts
-            )
-        if stats.dpor_vacuity_drops:
-            m.counter("explore.dpor.vacuity_drops", **labels).inc(
-                stats.dpor_vacuity_drops
             )
         if stats.dpor_deferred_seen:
             # Peak LRU occupancy, not an event count: take the max across

@@ -31,7 +31,7 @@ PHASES: Tuple[str, ...] = (
     "restore",     # pop back to the parent configuration
     "apply",       # executing one transition against the domain
     "hb",          # happens-before vector maintenance (source-DPOR)
-    "race",        # race reversal planning + wakeup-tree maintenance
+    "race",        # race reversal planning (source-DPOR initials walk)
     "commute",     # commutativity/independence probes (sleep sets)
     "fingerprint", # configuration fingerprint + orbit canonicalization
     "check",       # spec replay + RA-linearizability check (Def. 3.5)

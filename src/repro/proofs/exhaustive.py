@@ -268,7 +268,7 @@ def exhaustive_verify(
         # point O(delta) instead of O(configuration).
         return OpBasedSystem(
             entry.make_crdt(), replicas=sorted(programs),
-            persistent=(por in ("source", "optimal")),
+            persistent=(por == "source"),
         )
 
     with ins.span("exhaustive.scope", entry=entry.name, kind="OB",
@@ -342,13 +342,13 @@ def exhaustive_verify_state(
     """Bounded exhaustive verification of a state-based entry.
 
     Explores every interleaving of the programs with up to ``max_gossips``
-    gossip steps (see :mod:`repro.runtime.state_explore`) and checks the
+    gossip steps (see :mod:`repro.runtime.explore_engine`) and checks the
     EO/TO candidate linearization plus convergence on each.  ``engine``,
     ``reduction``, ``symmetry``, ``cache``, ``jobs``, ``steal``,
     ``spill``, ``por`` and ``instrumentation`` behave as in
     :func:`exhaustive_verify`.
     """
-    from ..runtime.state_explore import explore_state_programs
+    from ..runtime.explore_engine import explore_state_programs
     from ..runtime.state_system import StateBasedSystem
 
     if entry.kind != "SB":
@@ -386,7 +386,7 @@ def exhaustive_verify_state(
     def make_system() -> StateBasedSystem:
         return StateBasedSystem(
             entry.make_crdt(), replicas=sorted(programs),
-            persistent=(por in ("source", "optimal")),
+            persistent=(por == "source"),
         )
 
     with ins.span("exhaustive.scope", entry=entry.name, kind="SB",

@@ -261,12 +261,6 @@ def _merge_branches(
             )
             merged.stats.dpor_deferred += stats.dpor_deferred
             merged.stats.dpor_full_expansions += stats.dpor_full_expansions
-            merged.stats.dpor_wakeup_branches += stats.dpor_wakeup_branches
-            merged.stats.dpor_wakeup_fallbacks += (
-                stats.dpor_wakeup_fallbacks
-            )
-            merged.stats.dpor_patch_cuts += stats.dpor_patch_cuts
-            merged.stats.dpor_vacuity_drops += stats.dpor_vacuity_drops
             merged.stats.dpor_deferred_seen = max(
                 merged.stats.dpor_deferred_seen, stats.dpor_deferred_seen
             )

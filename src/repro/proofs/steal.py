@@ -58,7 +58,6 @@ from ..obs.instrument import Instrumentation, NULL_INSTRUMENTATION
 from ..obs.progress import ProgressMonitor
 from ..runtime.explore_engine import ExploreStats, build_engine
 from ..runtime.fp_store import FingerprintStore
-from ..runtime.pstate import MapTier, SetTier
 from ..runtime.schedule import Program
 from ..runtime.state_system import StateBasedSystem
 from ..runtime.system import OpBasedSystem
@@ -204,15 +203,10 @@ class _WorkerScheduler:
         return False
 
     def offload(self, path: Sequence[Tuple], sleep: Any,
-                frames: Optional[Tuple] = None,
-                guide: Optional[Dict] = None) -> None:
-        # ``frames`` (source/optimal DPOR only) carries the victim's
-        # per-prefix-node sleep sets so the thief can process race
-        # reversals that land on the replayed prefix; sleep-mode offloads
-        # stay 2-argument.  ``guide`` (optimal only) is the stolen
-        # candidate's pending wakeup subtree — nested transition dicts,
-        # plain picklable data — so the thief replays the identical
-        # demanded schedule below the replayed prefix.
+                frames: Optional[Tuple] = None) -> None:
+        # ``frames`` (source-DPOR only) carries the victim's per-prefix-node
+        # sleep sets so the thief can process race reversals that land on
+        # the replayed prefix; sleep-mode offloads stay 2-argument.
         self._seq += 1
         task_id = ("w", self.worker_id, self._seq)
         self.spawn_times[task_id] = time.perf_counter()
@@ -220,7 +214,7 @@ class _WorkerScheduler:
         self.task_q.put(
             (task_id, self.current_task, self.scope_index, None,
              tuple(path), frozenset(sleep),
-             tuple(frames) if frames is not None else None, guide)
+             tuple(frames) if frames is not None else None)
         )
 
 
@@ -283,21 +277,13 @@ class _Session:
         self.store: Optional[FingerprintStore] = (
             FingerprintStore(spill_dir=spill_dir) if use_fp_store else None
         )
-        persistent = por in ("source", "optimal")
-        # DPOR sessions back the visited/expanded tiers with persistent
-        # hash tries: a session survives every task of its scope, and
-        # each task extends a structurally-shared trie whose older roots
-        # stay valid — the same O(delta) economics replica state already
-        # gets from runtime.pstate.
-        if self.store is not None:
-            self.fps: Any = self.store.visited_set()
-            expanded: Any = self.store.expanded_map()
-        elif persistent:
-            self.fps = SetTier()
-            expanded = MapTier()
-        else:
-            self.fps = set()
-            expanded = None
+        self.fps: Any = (
+            self.store.visited_set() if self.store is not None else set()
+        )
+        expanded = (
+            self.store.expanded_map() if self.store is not None else None
+        )
+        persistent = por == "source"
         if entry.kind == "OB":
             kind = "op"
 
@@ -331,11 +317,10 @@ class _Session:
         )
 
     def run(self, branch: Optional[int], path: Optional[Tuple],
-            sleep: Any, frames: Optional[Tuple] = None,
-            guide: Optional[Dict] = None) -> None:
+            sleep: Any, frames: Optional[Tuple] = None) -> None:
         self.engine.run(root_branch=branch, path=path,
                         sleep=frozenset(sleep) if sleep else frozenset(),
-                        frames=frames, guide=guide)
+                        frames=frames)
 
     def harvest(self, scope_index: int, ins: Instrumentation):
         """Close out the session: ``(scope_index, result, fingerprints)``."""
@@ -352,8 +337,7 @@ class _Session:
                     )
             self.store.close()
         if ins.enabled:
-            ins.record_explore(self.stats, kind=self.kind,
-                              entry=self.entry.name)
+            ins.record_explore(self.stats, kind=self.kind)
             if self.result.check_stats is not None:
                 ins.record_check(self.result.check_stats,
                                  entry=self.entry.name)
@@ -393,8 +377,8 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
             task = _take(task_q, idle, stop, idle_box)
             if task is None:
                 break
-            (task_id, parent_id, scope_index, branch, path, sleep, frames,
-             guide) = task
+            task_id, parent_id, scope_index, branch, path, sleep, frames = \
+                task
             session = sessions.get(scope_index)
             if session is None:
                 session = _Session(scope_table[scope_index], budget,
@@ -417,7 +401,7 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
             if budget is None or not budget.exhausted():
                 with ins.span("steal.task", worker=worker_id,
                               scope=scope_index):
-                    session.run(branch, path, sleep, frames, guide)
+                    session.run(branch, path, sleep, frames)
             timeline.append(
                 (task_id, parent_id, scope_index, started,
                  time.perf_counter())
@@ -481,7 +465,7 @@ def _seed_tasks(
         for branch in branches:
             seeds.append(
                 (("s", scope_index, branch), None, scope_index, branch,
-                 None, frozenset(), None, None)
+                 None, frozenset(), None)
             )
     return scope_table, seeds
 

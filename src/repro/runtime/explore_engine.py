@@ -119,19 +119,6 @@ _EMPTY_SLEEP: FrozenSet[Transition] = frozenset()
 #: ``_deferred_seen`` without limit.
 _DEFERRED_SEEN_LIMIT = 1 << 14
 
-#: A wakeup (sub)tree: ordered transitions to child subtrees; ``None``
-#: is the empty tree.  A frame's backtrack dict maps each candidate to
-#: the pending subtree that should guide the child's schedule
-#: (``por="optimal"``) or to ``None`` (``por="source"``).
-WakeupTree = Optional[Dict[Transition, Any]]
-
-#: Optimal DPOR: maximum size of the recorded-sleep difference a
-#: re-converged state may patch-explore instead of re-walking its whole
-#: subtree.  Larger differences fall back to a full re-exploration — a
-#: patch of n branches costs n subtree entries, so past a few branches
-#: the full walk's dedup is the better bet.
-_PATCH_LIMIT = 4
-
 
 @dataclass
 class ExploreStats:
@@ -182,22 +169,12 @@ class ExploreStats:
     #: Source-DPOR only: frames conservatively re-expanded to the full
     #: enabled set (missing footprint or disabled race candidate).
     dpor_full_expansions: int = 0
-    #: Optimal DPOR only: race reversals grafted into a frame's wakeup
-    #: tree with a non-empty pending continuation.
-    dpor_wakeup_branches: int = 0
-    #: Optimal DPOR only: frames re-expanded because a race candidate
-    #: failed its precondition at apply time — the narrow residue of the
-    #: source engine's full expansions (never counted there).
-    dpor_wakeup_fallbacks: int = 0
-    #: Optimal DPOR only: disabled residual demands dropped because the
-    #: vacuity walk proved the demanded event ordered after the race
-    #: frame's transition in every execution.
-    dpor_vacuity_drops: int = 0
-    #: Source/optimal DPOR: peak entry count of the deferred-reversal
+    #: Source-DPOR only: peak entry count of the deferred-reversal
     #: dedup LRU (bounded; evictions cost re-runs, never coverage).
     dpor_deferred_seen: int = 0
-    #: Optimal DPOR only: re-converged states cut by exploring just the
-    #: recorded-sleep difference instead of the whole subtree.
+    #: Always 0: counters of a retired POR flavour, kept so readers of
+    #: the stats schema (the benchmark harness) stay valid.
+    dpor_wakeup_fallbacks: int = 0
     dpor_patch_cuts: int = 0
     #: Persistent-snapshot mode: hash-trie nodes allocated (path copies).
     pstate_copied: int = 0
@@ -233,11 +210,7 @@ class ExploreStats:
             "dpor_redundant_avoided": self.dpor_redundant_avoided,
             "dpor_deferred": self.dpor_deferred,
             "dpor_full_expansions": self.dpor_full_expansions,
-            "dpor_wakeup_branches": self.dpor_wakeup_branches,
-            "dpor_wakeup_fallbacks": self.dpor_wakeup_fallbacks,
-            "dpor_vacuity_drops": self.dpor_vacuity_drops,
             "dpor_deferred_seen": self.dpor_deferred_seen,
-            "dpor_patch_cuts": self.dpor_patch_cuts,
             "pstate_copied": self.pstate_copied,
             "pstate_shared": self.pstate_shared,
         }
@@ -379,9 +352,20 @@ class _OpDomain:
                 self.sym = SymmetryReducer(self.replicas, group)
 
     def _sync_lids(self) -> None:
-        """Extend the lid maps with labels generated since the last sync."""
+        """Extend the lid maps with labels generated since the last sync.
+
+        Copy-on-write: push() tokens share the maps by reference, so
+        they are copied before they grow, never mutated in place.
+        """
         order = self.system.generation_order
-        for label in order[len(self._lids):]:
+        fresh = order[len(self._lids):]
+        if not fresh:
+            return
+        self._lids = dict(self._lids)
+        self._per_origin = dict(self._per_origin)
+        self._lid_to_label = dict(self._lid_to_label)
+        self._lid_order = list(self._lid_order)
+        for label in fresh:
             seq = self._per_origin.get(label.origin, 0)
             self._per_origin[label.origin] = seq + 1
             lid = (label.origin, seq)
@@ -445,17 +429,25 @@ class _OpDomain:
                 label = self.system.invoke(replica, method, args, obj=obj)
             except PreconditionViolation:
                 return False  # this interleaving cannot run the op yet
-            self.counters[replica] += 1
-            self.returns[replica].append(label.ret)
+            # Copy-on-write, like _sync_lids: push() shares these maps.
+            self.counters = {
+                **self.counters, replica: self.counters[replica] + 1
+            }
+            self.returns = {
+                **self.returns, replica: self.returns[replica] + [label.ret]
+            }
             self._sync_lids()
             lid = self._lids[label.uid]
             seen = self._seen_lids[replica]
             self._vis_lids |= {(prior, lid) for prior in seen}
             self._seen_lids[replica] = seen | {lid}
             lids = self._lids
-            self._causal_lids[lid] = frozenset(
-                lids[p.uid] for p in self.system._causal_preds[label]
-            )
+            self._causal_lids = {
+                **self._causal_lids,
+                lid: frozenset(
+                    lids[p.uid] for p in self.system._causal_preds[label]
+                ),
+            }
             self._parts[replica] = None
             self._glob_frags = None
             return True
@@ -476,15 +468,17 @@ class _OpDomain:
         else:
             self.stats.deepcopies += 1
             system_token = copy.deepcopy(self.system)
+        # Counters, returns and the lid maps change only on invoke,
+        # which replaces them (copy-on-write): the token shares them.
         return (
             system_token,
-            dict(self.counters),
-            {r: list(v) for r, v in self.returns.items()},
-            dict(self._lids),
-            dict(self._per_origin),
-            dict(self._lid_to_label),
-            tuple(self._lid_order),
-            dict(self._causal_lids),
+            self.counters,
+            self.returns,
+            self._lids,
+            self._per_origin,
+            self._lid_to_label,
+            self._lid_order,
+            self._causal_lids,
             self._labels_data,
             dict(self._seen_lids),
             self._vis_lids,
@@ -502,11 +496,11 @@ class _OpDomain:
         self._glob_frags = glob_frags
         if self.use_snapshots:
             self.system.restore(system_token)
-            self._lids = dict(lids)
-            self._per_origin = dict(per_origin)
-            self._lid_to_label = dict(lid_to_label)
-            self._lid_order = list(lid_order)
-            self._causal_lids = dict(causal_lids)
+            self._lids = lids
+            self._per_origin = per_origin
+            self._lid_to_label = lid_to_label
+            self._lid_order = lid_order
+            self._causal_lids = causal_lids
             self._labels_data = labels_data
             self._seen_lids = dict(seen_lids)
             self._vis_lids = vis_lids
@@ -527,8 +521,8 @@ class _OpDomain:
                 ((r, name), crdt)
                 for r in self.replicas for name, crdt in self._objs
             ]
-        self.counters = dict(counters)
-        self.returns = {r: list(v) for r, v in returns.items()}
+        self.counters = counters
+        self.returns = returns
 
     # -- independence (the DPOR relation) -------------------------------
 
@@ -772,15 +766,6 @@ class _OpDomain:
         if sym is None or not sleep:
             return sleep
         return sym.rename_transitions(sleep)
-
-    def uncanon_transitions(
-        self, transitions: FrozenSet[Transition]
-    ) -> FrozenSet[Transition]:
-        """Inverse of :meth:`canon_sleep` under the latest fingerprint."""
-        sym = self.sym
-        if sym is None or not transitions:
-            return transitions
-        return sym.unrename_transitions(transitions)
 
     def visit_args(self) -> Tuple[Any, Dict[str, List[Any]]]:
         return self.system, self.returns
@@ -1134,15 +1119,6 @@ class _StateDomain:
             return sleep
         return sym.rename_transitions(sleep)
 
-    def uncanon_transitions(
-        self, transitions: FrozenSet[Transition]
-    ) -> FrozenSet[Transition]:
-        """See :meth:`_OpDomain.uncanon_transitions`."""
-        sym = self.sym
-        if sym is None or not transitions:
-            return transitions
-        return sym.unrename_transitions(transitions)
-
     def visit_args(self) -> Tuple[Any, Dict[str, List[Any]]]:
         return self.system, self.returns
 
@@ -1270,12 +1246,6 @@ class _ProfiledDomain:
         self._profile.add("fingerprint", time.perf_counter() - start)
         return result
 
-    def uncanon_transitions(self, transitions):
-        start = time.perf_counter()
-        result = self._domain.uncanon_transitions(transitions)
-        self._profile.add("fingerprint", time.perf_counter() - start)
-        return result
-
     def hb_dep_mask(self, transition, index):
         start = time.perf_counter()
         mask = self._domain.hb_dep_mask(transition, index)
@@ -1358,14 +1328,16 @@ class _Engine:
         #: the current one (then every schedule allowed now was allowed —
         #: and explored — before).
         self._expanded: Any = expanded if expanded is not None else {}
-        if por not in ("sleep", "source", "optimal"):
+        #: Recorded sleep keys, interned (see :meth:`_intern_sleep`).
+        self._sleep_keys: Dict[Any, Any] = {}
+        if por not in ("sleep", "source"):  # pragma: no cover - caller bug
             raise ValueError(f"unknown por mode {por!r}")
-        if por != "sleep" and not getattr(domain, "reduction", True):
+        if por == "source" and not getattr(domain, "reduction", True):
             # reduction=False means "explore every interleaving" (the
             # per-entry escape hatch / naive parity mode); the sleep path
             # with empty sleep sets is exactly that.
             por = "sleep"
-        if por != "sleep" and not getattr(
+        if por == "source" and not getattr(
             domain, "require_quiescence", True
         ):
             # Non-quiescent op exploration visits *interior*
@@ -1374,25 +1346,31 @@ class _Engine:
             # executions pass through different interiors).  Fall back
             # to sleep sets, which visit every non-pruned node.
             por = "sleep"
-        #: Partial-order reduction flavor: classic sleep sets,
-        #: source-DPOR (sleep sets + race-driven source sets), or
-        #: optimal DPOR (source sets + wakeup-tree continuations).
+        #: Partial-order reduction flavor: classic sleep sets, or
+        #: source-DPOR (sleep sets + race-driven source sets).
         self.por = por
-        self._optimal = por == "optimal"
         #: Source-DPOR frame stack, aligned with ``_path`` (frame i is
         #: the node reached by ``_path[:i]``).
         self._frames: List[_Frame] = []
         #: Happens-before predecessor bitmask per path event.
         self._hb: List[int] = []
         #: Race reversals landing on defer-mode (stolen-prefix) frames,
-        #: run locally as (path, sleep, frame-sleeps, guide) subtree
-        #: tasks.
+        #: run locally as (path, sleep, frame-sleeps) subtree tasks.
         self._deferred: List[Tuple] = []
         self._deferred_seen = _DigestLRU()
-        if self.por != "sleep":
+        if self.por == "source":
             domain.hb_reset()
         if heartbeat is not None:
             heartbeat.watch(stats, fp_store)
+
+    def _intern_sleep(self, sleep_key: Any) -> Any:
+        """One shared object per distinct recorded sleep key.
+
+        Canonical sleep keys are rebuilt per arrival, yet a scope has
+        few distinct ones; sharing them keeps the expanded records'
+        memory proportional to distinct states, not to arrivals.
+        """
+        return self._sleep_keys.setdefault(sleep_key, sleep_key)
 
     def _fingerprint(self) -> Any:
         fp = self.domain.fingerprint()
@@ -1406,7 +1384,6 @@ class _Engine:
         path: Optional[Sequence[Transition]] = None,
         sleep: FrozenSet[Transition] = frozenset(),
         frames: Optional[Sequence[FrozenSet[Transition]]] = None,
-        guide: WakeupTree = None,
     ) -> ExploreStats:
         """Explore the whole tree, one root branch, or a stolen subtree.
 
@@ -1414,11 +1391,9 @@ class _Engine:
         DFS below it under ``sleep`` — the work-stealing task unit.
         ``frames`` (source-DPOR tasks only) carries the per-prefix-node
         sleep sets, so race reversals landing on the replayed prefix can
-        be re-run with the right schedule filters.  ``guide`` (optimal
-        DPOR) is the pending wakeup subtree at the task's branch point:
-        the stolen prefix replays the identical schedule the victim
-        would have run.  Wall time *accumulates* so an engine reused
-        across stolen tasks reports its total exploration time.
+        be re-run with the right schedule filters.  Wall time
+        *accumulates* so an engine reused across stolen tasks reports its
+        total exploration time.
 
         Source-DPOR reversals that land on replayed prefix nodes are
         queued and drained here, after the primary unit: they never go
@@ -1431,20 +1406,18 @@ class _Engine:
         pstate_mark = pstate.STATS.snapshot()
         try:
             if path is not None:
-                self._run_path(path, sleep, frames, guide=guide)
+                self._run_path(path, sleep, frames)
             elif root_branch is None:
-                if self.por != "sleep":
+                if self.por == "source":
                     self._run_source_root()
                 else:
                     self._dfs(frozenset(), 1)
             else:
                 self._run_root_branch(root_branch)
             while self._deferred:
-                (task_path, task_sleep, task_frames,
-                 task_guide) = self._deferred.pop()
+                task_path, task_sleep, task_frames = self._deferred.pop()
                 self._run_path(
-                    task_path, task_sleep, task_frames,
-                    race_task=True, guide=task_guide,
+                    task_path, task_sleep, task_frames, race_task=True
                 )
         except _SearchCapped:
             self.stats.capped = True
@@ -1466,7 +1439,7 @@ class _Engine:
         self._path = []
         self._frames = []
         self._hb = []
-        if self.por != "sleep":
+        if self.por == "source":
             self.domain.hb_reset()
 
     def _run_source_root(self) -> None:
@@ -1481,7 +1454,6 @@ class _Engine:
         sleep: FrozenSet[Transition],
         frames: Optional[Sequence[FrozenSet[Transition]]] = None,
         race_task: bool = False,
-        guide: WakeupTree = None,
     ) -> None:
         """Replay ``path`` from the root, then DFS under ``sleep``.
 
@@ -1497,7 +1469,7 @@ class _Engine:
         domain = self.domain
         token = domain.push()
         try:
-            if self.por != "sleep":
+            if self.por == "source":
                 for index, transition in enumerate(path):
                     frame_sleep = (
                         frames[index]
@@ -1522,7 +1494,7 @@ class _Engine:
                     domain.hb_note(transition, len(self._path))
                     self._path.append(transition)
                     self._hb.append(hb_mask)
-                self._dfs_source(frozenset(sleep), len(path) + 1, guide)
+                self._dfs_source(frozenset(sleep), len(path) + 1)
             else:
                 for transition in path:
                     if not domain.apply(transition):
@@ -1585,7 +1557,7 @@ class _Engine:
             other for other in done if domain.independent(other, target)
         )
         if domain.apply(target):
-            if self.por != "sleep":
+            if self.por == "source":
                 self._frames.append(_Frame("ignore", transitions,
                                            frozenset()))
                 try:
@@ -1661,7 +1633,7 @@ class _Engine:
                 if recorded <= sleep_key:
                     stats.states_deduped += 1
                     return
-            recorded_sets.append(sleep_key)
+            recorded_sets.append(self._intern_sleep(sleep_key))
         scheduler = self.scheduler
         token = domain.push()
         done: List[Transition] = []
@@ -1719,12 +1691,9 @@ class _Engine:
     # -- source-DPOR ----------------------------------------------------
 
     def _dfs_source(
-        self,
-        sleep: FrozenSet[Transition],
-        depth: int,
-        guide: WakeupTree = None,
+        self, sleep: FrozenSet[Transition], depth: int
     ) -> None:
-        """The source-DPOR / optimal-DPOR node loop.
+        """The source-DPOR node loop.
 
         Unlike :meth:`_dfs`, which schedules *every* enabled transition
         outside the sleep set, this loop schedules only the node's
@@ -1735,20 +1704,6 @@ class _Engine:
         redundant — their interleavings reach already-covered
         Mazurkiewicz traces — and are counted in
         ``dpor_redundant_avoided`` instead of explored.
-
-        Under ``por="optimal"`` the backtrack dict carries a **wakeup
-        tree**: each candidate maps to the pending continuation (the
-        rest of the reversal sequence ``v·t`` grafted by
-        :meth:`_reverse_race`), and ``guide`` is this node's own pending
-        subtree handed down by the parent.  Guided nodes seed their
-        schedule from the guide's root transitions instead of the
-        default first-non-slept pick, so a demanded reversal is replayed
-        verbatim rather than re-discovered through fresh races — the
-        sibling expansions the source engine's conservative fallbacks
-        force never start.  Guidance is advisory: a guide root that is
-        slept or disabled here is dropped (its trace class is covered by
-        the branch that slept it, or rediscovered through races), which
-        keeps the source-set coverage argument untouched.
         """
         domain, stats = self.domain, self.stats
         stats.states_visited += 1
@@ -1764,12 +1719,9 @@ class _Engine:
             self._report(fingerprint)
         if not transitions:
             return
-        patch: Optional[FrozenSet[Transition]] = None
         if self.dedup:
             sleep_key = domain.canon_sleep(sleep)
             recorded_sets = self._expanded.setdefault(fingerprint, [])
-            patch_base = None
-            patch_missing = None
             for recorded in recorded_sets:
                 if recorded <= sleep_key:
                     stats.states_deduped += 1
@@ -1779,31 +1731,7 @@ class _Engine:
                     # against the open frames.
                     self._replay_residual()
                     return
-                if self._optimal:
-                    missing = recorded - sleep_key
-                    if patch_missing is None or \
-                            len(missing) < len(patch_missing):
-                        patch_base, patch_missing = recorded, missing
-            if patch_missing is not None and \
-                    len(patch_missing) <= _PATCH_LIMIT:
-                # Partial cut at a re-converged state: a prior visit with
-                # recorded sleep R covered every execution from here not
-                # starting in R; this arrival (sleep S, R ⊄ S) only owes
-                # the executions starting in R \ S.  Explore exactly
-                # those branches — races they demand land on the live
-                # frames as usual — replay the residual alphabet for the
-                # covered remainder, and record R ∩ S: the union of both
-                # visits covers everything not starting in the
-                # intersection, so the records weaken monotonically and
-                # later arrivals full-cut.  ``R \ S`` lives in the
-                # canonical frame; pull it back through the latest
-                # minimizing permutation before scheduling.
-                stats.dpor_patch_cuts += 1
-                patch = domain.uncanon_transitions(patch_missing)
-                self._replay_residual()
-                recorded_sets.append(patch_base & sleep_key)
-            else:
-                recorded_sets.append(sleep_key)
+            recorded_sets.append(self._intern_sleep(sleep_key))
         frame = _Frame("real", transitions, sleep)
         self._frames.append(frame)
         scheduler = self.scheduler
@@ -1811,44 +1739,21 @@ class _Engine:
         explored_locally = False
         did_split = False
         try:
-            if patch is not None:
-                # Patch node: schedule only the owed difference (plus
-                # whatever races add while it runs).  A pending guide is
-                # dropped — its demanded class either starts in the
-                # patch (explored here) or not in the prior record's
-                # sleep (covered by the recorded visit, whose races the
-                # residual replay just re-demanded).
-                for candidate in patch:
-                    if frame.is_enabled(candidate):
-                        frame.backtrack[candidate] = None
-            else:
-                seeded = False
-                if guide:
-                    for candidate, subtree in guide.items():
-                        if candidate in sleep or not frame.is_enabled(
-                            candidate
-                        ):
-                            continue
-                        frame.backtrack[candidate] = subtree
-                        seeded = True
-                if not seeded:
-                    for transition in transitions:
-                        if transition not in sleep:
-                            frame.backtrack[transition] = None
-                            break
-            if patch is None and domain.forces_schedule:
+            for transition in transitions:
+                if transition not in sleep:
+                    frame.backtrack[transition] = None
+                    break
+            if domain.forces_schedule:
                 for transition in transitions:
                     if (
                         transition not in sleep
                         and domain.must_schedule(transition)
                     ):
-                        # setdefault: a guided candidate keeps its
-                        # pending continuation.
-                        frame.backtrack.setdefault(transition, None)
+                        frame.backtrack[transition] = None
             while True:
                 transition = frame.next_candidate()
                 if transition is None:
-                    if not frame.progressed and patch is None:
+                    if not frame.progressed:
                         # Every candidate failed its precondition; seed
                         # the next untried enabled transition, exactly as
                         # the serial loop skips a failed apply().
@@ -1890,10 +1795,6 @@ class _Engine:
                             tuple(self._path) + (transition,),
                             child_sleep,
                             tuple(f.sleep for f in self._frames),
-                            # The candidate's pending wakeup subtree
-                            # rides along so the thief replays the
-                            # identical schedule (None under "source").
-                            frame.backtrack.get(transition),
                         )
                         stats.steal_spawned += 1
                         if self.journal is not None:
@@ -1915,9 +1816,7 @@ class _Engine:
                         self._full_expand(frame)
                     continue
                 self._record_event(transition)
-                self._dfs_source(
-                    child_sleep, depth + 1, frame.backtrack.get(transition)
-                )
+                self._dfs_source(child_sleep, depth + 1)
                 self._path.pop()
                 self._hb.pop()
                 domain.hb_unnote(transition, len(self._path))
@@ -1994,14 +1893,12 @@ class _Engine:
 
     def _race_plan(
         self, j: int, k: int, transition: Transition, hb_mask: int
-    ) -> Optional[Tuple[Transition, WakeupTree]]:
+    ) -> Optional[Transition]:
         """Walk the initials of ``v = notdep(path[j], E) · transition``.
 
         Returns ``None`` when some initial already covers the reversal,
-        else ``(first, continuation)``: the sequence's first event and —
-        under optimal DPOR — the wakeup subtree encoding the rest of
-        ``v·t`` in path order, so the branch replays the demanded
-        schedule instead of rediscovering it race by race.
+        else the sequence's first event — the one to schedule at frame
+        ``j``.
         """
         profile = self.profile
         start = time.perf_counter() if profile is not None else 0.0
@@ -2016,19 +1913,12 @@ class _Engine:
         first: Optional[Transition] = None
         covered = False
         v_mask = 0
-        optimal = self._optimal
-        chain: Optional[List[Transition]] = [] if optimal else None
-        dep_tail: Optional[List[Transition]] = [] if optimal else None
         for m in range(j + 1, k):
             hbm = hb[m]
             if (hbm >> j) & 1:
-                # Depends on path[j]: not part of v — but part of the
-                # wakeup spine's tail (see below).
-                if dep_tail is not None:
-                    dep_tail.append(path[m])
-                continue
-            w = path[m]
+                continue  # depends on path[j]: not part of v
             if not (hbm & v_mask):
+                w = path[m]
                 if self._initial_covered(
                     w, sleep, real, backtrack, tried, taken
                 ):
@@ -2037,8 +1927,6 @@ class _Engine:
                 if first is None:
                     first = w
             v_mask |= 1 << m
-            if chain is not None:
-                chain.append(w)
         if not covered and not (hb_mask & v_mask):
             if self._initial_covered(
                 transition, sleep, real, backtrack, tried, taken
@@ -2046,33 +1934,10 @@ class _Engine:
                 covered = True
             elif first is None:
                 first = transition
-        if first is None:  # pragma: no cover - v always has an initial
-            covered = True
-        plan: Optional[Tuple[Transition, WakeupTree]] = None
-        if not covered:
-            cont: WakeupTree = None
-            if chain is not None:
-                # The wakeup spine is the *whole* trace permutation
-                # v·t·path[j]·(events dependent on path[j], in path
-                # order): after the reversed pair runs, the tail
-                # re-executes the remainder of the original fragment, so
-                # the branch converges onto recorded configurations and
-                # is dedup-cut within a step or two instead of wandering
-                # to a sleep-blocked dead end.  The spine respects
-                # happens-before everywhere except the deliberately
-                # reversed (path[j], t) pair, and sleep inheritance
-                # cooperates: path[j] is slept (from ``done``) across v
-                # and woken exactly when the dependent t executes.
-                chain.append(transition)
-                chain.append(path[j])
-                chain.extend(dep_tail)
-                if chain[0] == first:
-                    for w in reversed(chain[1:]):
-                        cont = {w: cont}
-            plan = (first, cont)
         if profile is not None:
             profile.add("race", time.perf_counter() - start)
-        return plan
+        # ``first`` is None only when covered: v always has an initial.
+        return None if covered else first
 
     def _reverse_race(
         self, j: int, k: int, transition: Transition, hb_mask: int
@@ -2082,23 +1947,16 @@ class _Engine:
         :meth:`_race_plan` walks the initials of the reversal sequence
         ``v·t`` and short-circuits when one already covers it, which in
         the common case is the immediately following event.  Otherwise
-        the first initial is scheduled — grafted into the backtrack
-        (wakeup) store of a real frame, queued as a subtree task for a
-        defer frame — through this single insertion point.  A demanded
-        initial that is not enabled at frame ``j`` (only possible via
-        :meth:`_replay_residual`'s positional over-approximation)
-        degrades the frame to the full sleep-set schedule; optimal DPOR
-        first drops the demand when :meth:`_demand_vacuous` proves the
-        event ordered after ``path[j]`` in every execution, and counts
-        the degradations it cannot avoid as wakeup fallbacks rather
-        than full expansions — races from real executions always have
-        enabled initials, so the classical optimality argument is
-        unaffected.
+        the first initial is scheduled — added to the backtrack set of a
+        real frame, queued as a subtree task for a defer frame.  A
+        demanded initial that is not enabled at frame ``j`` (only
+        possible via :meth:`_replay_residual`'s positional
+        over-approximation) degrades the frame to the full sleep-set
+        schedule.
         """
-        plan = self._race_plan(j, k, transition, hb_mask)
-        if plan is None:
+        first = self._race_plan(j, k, transition, hb_mask)
+        if first is None:
             return
-        first, cont = plan
         frame = self._frames[j]
         real = frame.mode == "real"
         if self.journal is not None:
@@ -2106,124 +1964,22 @@ class _Engine:
                 "dpor.reversal", frame=j, depth=k, mode=frame.mode,
             )
         if not frame.is_enabled(first):
-            if self._optimal and self._demand_vacuous(j, first):
-                # Vacuous: ordered after path[j] in every run.
-                self.stats.dpor_vacuity_drops += 1
-                return
             if real:
                 self._full_expand(frame)
             else:
                 self._full_expand_defer(j, taken=self._path[j])
             return
         if real:
-            if cont is not None:
-                self.stats.dpor_wakeup_branches += 1
-            frame.backtrack[first] = cont
+            frame.backtrack[first] = None
             frame.race_added.add(first)
         else:
-            self._defer(j, first, cont)
-
-    def _counter_at(self, j: int, replica: str) -> int:
-        """Invocations ``replica`` had completed at frame ``j`` — i.e.
-        the program index of its next invocation there."""
-        count = 0
-        path = self._path
-        for m in range(j):
-            t = path[m]
-            if t[0] == "inv" and t[1] == replica:
-                count += 1
-        return count
-
-    def _demand_vacuous(self, j: int, first: Transition) -> bool:
-        """Is a demanded-but-disabled initial provably vacuous?
-
-        A race can demand a transition not enabled at frame ``j`` only
-        through :meth:`_replay_residual`'s positional over-approximation:
-        the demanded event sits behind unexecuted program steps or
-        undelivered causal predecessors.  When its enabling chain runs
-        through an invocation of ``path[j]``'s own replica while
-        ``path[j]`` is itself an invocation, program order pins the
-        demanded event after ``path[j]`` in every execution — the race
-        is an artifact of the missing creation edge and the demand is
-        dropped with no insertion at all.
-
-        Every other disabled demand degrades to a counted conservative
-        expansion in the caller.  Substituting the first *enabled* link
-        of the chain looks tempting — "every execution performing the
-        demanded event schedules it first" — but is unsound: the link
-        need not be an *initial* of the demanded class, so finding it
-        asleep (covered by a sibling) does not imply the class itself
-        was covered, and configurations are lost.  Stress-testing with
-        sleep independence coarsened to the happens-before relation
-        exposes exactly that loss; the vacuity walk below survives the
-        same stress bit-for-bit.
-        """
-        frame = self._frames[j]
-        blocker = self._path[j]
-        if blocker[0] != "inv":
-            # Deliveries and gossips reorder freely with the
-            # invocations of their replica: nothing is pinned behind
-            # path[j], so no demand is vacuous.
-            return False
-        pinned = blocker[1]
-        domain = self.domain
-        t = first
-        for _ in range(64):
-            if frame.is_enabled(t):
-                return False
-            kind = t[0]
-            if kind == "inv":
-                q = t[1]
-                if q == pinned:
-                    return True  # program order: after path[j] always
-                head = ("inv", q, self._counter_at(j, q))
-                if head == t:  # pragma: no cover - head is enabled
-                    return False
-                t = head
-                continue
-            if kind != "del":  # pragma: no cover - gossips never block
-                return False
-            target, lid = t[1], t[2]
-            q, i = lid
-            if i >= self._counter_at(j, q):
-                # The label does not exist at frame j: its creating
-                # invocation chain must run first.
-                if q == pinned:
-                    return True  # creation sits after path[j]: vacuous
-                t = ("inv", q, self._counter_at(j, q))
-                continue
-            # The label exists at frame j but is not deliverable there:
-            # a causal predecessor is missing from the target's seen
-            # set.  The *current* seen set is a sound proxy — seen sets
-            # only grow, so a lid missing now was missing at frame j.
-            # (min() keeps the walk deterministic across worker
-            # processes; frozenset order is not.)
-            seen = domain._seen_lids[target]
-            missing = min(
-                (p for p in domain._causal_lids[lid] if p not in seen),
-                default=None,
-            )
-            if missing is None:  # pragma: no cover - delivered inside
-                # (j, k): the walk covered the demand through v, or the
-                # race was never hb-adjacent.  Unreachable; degrade
-                # conservatively rather than drop the reversal.
-                return False
-            t = ("del", target, missing)
-        return False  # pragma: no cover - chains are acyclic
+            self._defer(j, first)
 
     def _full_expand(self, frame: _Frame) -> None:
         """Degrade a frame to the sleep-set schedule (every non-slept
         enabled transition), the conservative fallback when precise race
-        coverage is unavailable.  Under optimal DPOR the triggers are a
-        race candidate failing its *precondition* at apply time and a
-        non-vacuous disabled initial demanded by residual replay —
-        counted separately as wakeup fallbacks, since races detected on
-        real executions always insert precisely and the classical
-        full-expansion count stays zero."""
-        if self._optimal:
-            self.stats.dpor_wakeup_fallbacks += 1
-        else:
-            self.stats.dpor_full_expansions += 1
+        coverage is unavailable."""
+        self.stats.dpor_full_expansions += 1
         for transition in frame.enabled:
             if (
                 transition not in frame.sleep
@@ -2240,18 +1996,13 @@ class _Engine:
         """Defer-frame analogue of :meth:`_full_expand`: enqueue every
         non-slept enabled transition at prefix node ``j`` as a subtree
         task (minus ``taken``, whose subtree the victim explored)."""
-        if self._optimal:
-            self.stats.dpor_wakeup_fallbacks += 1
-        else:
-            self.stats.dpor_full_expansions += 1
+        self.stats.dpor_full_expansions += 1
         frame = self._frames[j]
         for transition in frame.enabled:
             if transition not in frame.sleep and transition != taken:
                 self._defer(j, transition)
 
-    def _defer(
-        self, j: int, w: Transition, cont: WakeupTree = None
-    ) -> None:
+    def _defer(self, j: int, w: Transition) -> None:
         """Queue the subtree task ``path[:j] + (w,)`` (deduplicated)."""
         prefix = tuple(self._path[:j])
         if self._deferred_seen.seen((prefix, w)):
@@ -2262,9 +2013,7 @@ class _Engine:
             s for s in frame.sleep if domain.independent(s, w)
         )
         frame_sleeps = tuple(f.sleep for f in self._frames[:j + 1])
-        self._deferred.append(
-            (prefix + (w,), task_sleep, frame_sleeps, cont)
-        )
+        self._deferred.append((prefix + (w,), task_sleep, frame_sleeps))
         self.stats.dpor_deferred += 1
 
     def _replay_residual(self) -> None:

@@ -42,10 +42,9 @@ each fingerprint as a fixed-width digest:
   drop-ins for the engine's visited-fingerprint set and expanded
   (fingerprint → sleep sets) table: an in-memory hot tier in front of a
   private sqlite file, so the working set stays bounded while the full
-  record remains exact.  The visited hot tier is a structurally-shared
-  persistent trie (:class:`~.pstate.PSet`) promoted to the spill in
-  FIFO batches; the expanded hot tier stays an LRU dict because its
-  values are mutable record lists.
+  record remains exact.  The visited hot tier is a plain ``set``
+  promoted to the spill in FIFO batches; the expanded hot tier is an
+  LRU dict because its values are mutable record lists.
 
 The store is *optional* everywhere: the serial engine defaults to raw
 fingerprints, and the differential equality suites run both ways, which
@@ -65,7 +64,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..core.freeze import FrozenDict
 from ..core.timestamp import BOTTOM
-from .pstate import PSet
 from .symmetry import CanonFP
 
 #: Default entry cap for each in-memory LRU tier (ledger, spill-set hot
@@ -286,14 +284,11 @@ class SpillSet:
     per-worker sets).  Exact — eviction moves entries to sqlite, never
     drops them.
 
-    The hot tier is a persistent hash trie (:class:`~.pstate.PSet`):
-    inserts path-copy O(log n) nodes and share the rest, so the tier's
-    history is a chain of structurally-shared roots rather than a
-    mutated dict, and promotion to the spill tier is a batch of
-    ``discard`` operations over the oldest digests (insertion-order
-    FIFO — digest working sets have no useful recency signal once they
-    outgrow memory, and FIFO needs no per-hit bookkeeping on the lookup
-    fast path the way the previous LRU's ``move_to_end`` did).
+    The hot tier is a builtin ``set`` with a FIFO ``deque`` of insertion
+    order; promotion to the spill tier moves the oldest batch of digests
+    (digest working sets have no useful recency signal once they outgrow
+    memory, and FIFO needs no per-hit bookkeeping on the lookup fast
+    path the way an LRU's ``move_to_end`` does).
     """
 
     def __init__(self, disk: _DiskTier, stats: FPStoreStats,
@@ -301,7 +296,7 @@ class SpillSet:
         self._disk = disk
         self._stats = stats
         self._limit = memory_limit
-        self._hot = PSet()
+        self._hot: "set[bytes]" = set()
         self._order: "deque[bytes]" = deque()
         self._pending: Dict[bytes, None] = {}
         self._len = 0
@@ -316,7 +311,7 @@ class SpillSet:
     def add(self, digest: bytes) -> None:
         if digest in self:
             return
-        self._hot = self._hot.add(digest)
+        self._hot.add(digest)
         self._order.append(digest)
         self._len += 1
         if len(self._order) > self._limit:
@@ -327,10 +322,9 @@ class SpillSet:
         hot, order, pending = self._hot, self._order, self._pending
         for _ in range(min(_FLUSH_BATCH, len(order))):
             digest = order.popleft()
-            hot = hot.discard(digest)
+            hot.discard(digest)
             pending[digest] = None
         self._stats.evictions += len(pending)
-        self._hot = hot
         self._flush()
 
     def _flush(self) -> None:

@@ -475,18 +475,3 @@ class SymmetryReducer:
         return frozenset(
             rename_transition(t, mapping) for t in transitions
         )
-
-    def unrename_transitions(self, transitions) -> Any:
-        """Pull canonical-frame transitions back to the live frame.
-
-        The inverse of :meth:`rename_transitions` under the *same*
-        ``last_map`` — callers must use it before the next
-        :meth:`canonical` call replaces the minimizing permutation.
-        """
-        mapping = self.last_map
-        if not mapping:
-            return transitions
-        inverse = {b: a for a, b in mapping.items()}
-        return frozenset(
-            rename_transition(t, inverse) for t in transitions
-        )

@@ -46,7 +46,8 @@ def test_entry_deterministic_totals_match(scope):
     """Every registry entry: serial ≡ --jobs 4 deterministic counters."""
     serial = _serial_totals([scope])
     parallel = Instrumentation.on()
-    verify_scopes_parallel([scope], jobs=JOBS, instrumentation=parallel)
+    verify_scopes_parallel([scope], jobs=JOBS, instrumentation=parallel,
+                           oversubscribe=True)
     assert deterministic_totals(parallel.metrics.snapshot()) \
         == deterministic_totals(serial.metrics.snapshot())
 
@@ -55,7 +56,8 @@ def test_suite_deterministic_totals_match_whole_tree_path():
     """All scopes at once (≥ jobs ⇒ whole-tree tasks): still identical."""
     serial = _serial_totals(SCOPES)
     parallel = Instrumentation.on()
-    verify_scopes_parallel(SCOPES, jobs=2, instrumentation=parallel)
+    verify_scopes_parallel(SCOPES, jobs=2, instrumentation=parallel,
+                           oversubscribe=True)
     assert deterministic_totals(parallel.metrics.snapshot()) \
         == deterministic_totals(serial.metrics.snapshot())
 
@@ -68,13 +70,39 @@ def test_work_counters_at_least_serial():
     )
     serial = _serial_totals([scope])
     parallel = Instrumentation.on()
-    verify_scopes_parallel([scope], jobs=JOBS, instrumentation=parallel)
+    verify_scopes_parallel([scope], jobs=JOBS, instrumentation=parallel,
+                           oversubscribe=True)
     serial_instruments = serial.metrics.snapshot()["instruments"]
     parallel_instruments = parallel.metrics.snapshot()["instruments"]
     for key in ("explore.states_visited{kind=op}",
                 "check.checks{entry=OR-Set}"):
         assert parallel_instruments[key]["value"] \
             >= serial_instruments[key]["value"]
+
+
+@pytest.mark.parametrize("steal", [False, True], ids=["static", "steal"])
+def test_explore_label_set_matches_serial(steal):
+    """Pool runs emit ``explore.*`` work counters under the serial label
+    set, so every serial key exists in a pool artifact too."""
+    scope = next(
+        (entry, programs, gossips)
+        for entry, programs, gossips in SCOPES if entry.name == "OR-Set"
+    )
+    serial = _serial_totals([scope])
+    pool = Instrumentation.on()
+    verify_scopes_parallel([scope], jobs=JOBS, instrumentation=pool,
+                           steal=steal, oversubscribe=True)
+
+    def explore_keys(ins):
+        return {
+            key for key in ins.metrics.snapshot()["instruments"]
+            if key.split("{", 1)[0] in (
+                "explore.runs", "explore.configurations",
+                "explore.states_visited", "explore.commute_checks",
+            )
+        }
+
+    assert explore_keys(pool) == explore_keys(serial)
 
 
 def test_table_deterministic_totals_match():

@@ -39,7 +39,7 @@ class TestScopesParallel:
         # the serial distinct-configuration count.
         scopes = standard_scopes()
         assert scopes, "standard scope suite must not be empty"
-        parallel = verify_scopes_parallel(scopes, jobs=2)
+        parallel = verify_scopes_parallel(scopes, jobs=2, oversubscribe=True)
         assert list(parallel) == [entry.name for entry, _, _ in scopes]
         for entry, programs, max_gossips in scopes:
             serial = _serial(entry, programs, max_gossips)
@@ -53,7 +53,9 @@ class TestScopesParallel:
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
         serial = exhaustive_verify(entry, programs)
-        merged = verify_scopes_parallel([(entry, programs, None)], jobs=4)
+        merged = verify_scopes_parallel(
+            [(entry, programs, None)], jobs=4, oversubscribe=True
+        )
         assert merged[entry.name].ok == serial.ok
         assert merged[entry.name].configurations == serial.configurations
 
@@ -64,7 +66,9 @@ class TestFrontierSplit:
         entry = entry_by_name(name)
         programs = standard_programs(entry)
         serial = exhaustive_verify(entry, programs)
-        split = exhaustive_verify_parallel(entry, programs, jobs=3)
+        split = exhaustive_verify_parallel(
+            entry, programs, jobs=3, oversubscribe=True
+        )
         assert split.ok == serial.ok
         assert split.configurations == serial.configurations
 
@@ -73,7 +77,7 @@ class TestFrontierSplit:
         programs = standard_programs(entry)
         serial = exhaustive_verify_state(entry, programs, max_gossips=2)
         split = exhaustive_verify_parallel(
-            entry, programs, jobs=3, max_gossips=2
+            entry, programs, jobs=3, max_gossips=2, oversubscribe=True
         )
         assert split.ok == serial.ok
         assert split.configurations == serial.configurations
@@ -158,7 +162,9 @@ class TestSymmetricSharding:
     def test_op_based_matches_serial_with_symmetry(self):
         entry = entry_by_name("Counter")
         serial = exhaustive_verify(entry, self.SYM_PROGRAMS)
-        split = exhaustive_verify_parallel(entry, self.SYM_PROGRAMS, jobs=4)
+        split = exhaustive_verify_parallel(
+            entry, self.SYM_PROGRAMS, jobs=4, oversubscribe=True
+        )
         assert split.ok == serial.ok
         assert split.configurations == serial.configurations
         assert split.stats.symmetry_group == 2
@@ -169,7 +175,8 @@ class TestSymmetricSharding:
             entry, self.SYM_PROGRAMS, max_gossips=2
         )
         split = exhaustive_verify_parallel(
-            entry, self.SYM_PROGRAMS, jobs=4, max_gossips=2
+            entry, self.SYM_PROGRAMS, jobs=4, max_gossips=2,
+            oversubscribe=True,
         )
         assert split.ok == serial.ok
         assert split.configurations == serial.configurations
@@ -178,11 +185,12 @@ class TestSymmetricSharding:
         entry = entry_by_name("Counter")
         serial = exhaustive_verify(entry, self.SYM_PROGRAMS, symmetry=False)
         split = exhaustive_verify_parallel(
-            entry, self.SYM_PROGRAMS, jobs=4, symmetry=False
+            entry, self.SYM_PROGRAMS, jobs=4, symmetry=False,
+            oversubscribe=True,
         )
         assert split.configurations == serial.configurations
         assert split.configurations > exhaustive_verify_parallel(
-            entry, self.SYM_PROGRAMS, jobs=4
+            entry, self.SYM_PROGRAMS, jobs=4, oversubscribe=True
         ).configurations
 
     def test_symmetric_branches_are_skipped(self):

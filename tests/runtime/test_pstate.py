@@ -1,92 +1,53 @@
-"""Persistent hash-trie unit tests: dissoc, transients, tier cells.
+"""Persistent hash-trie unit tests: the grow-only PMap/PSet surface.
 
-The PMap/PSet basics are exercised indirectly by every persistent-system
-test; this file pins the operations added for the optimal-DPOR tiers —
-deletion with canonical collapsing, single-owner transient batch builds,
-and the mutable tier façades the steal sessions and fp_store hot tier
-are built on.
+The tries back the persistent systems' seen-sets, visibility and
+effector tables; those paths are exercised by every persistent-system
+test.  This file pins the trie operations themselves against a plain
+dict model, including full-hash collision buckets.
 """
 
 import random
 
-import pytest
-
-from repro.runtime.pstate import (
-    STATS,
-    MapTier,
-    PMap,
-    PSet,
-    SetTier,
-    TMap,
-)
+from repro.runtime.pstate import PMap, PSet
 
 
-def _shape(pmap):
-    """A structural render of the trie (not just its contents)."""
-
-    def go(node):
-        name = type(node).__name__
-        if name == "_Node":
-            return (node.bitmap, tuple(go(c) for c in node.array))
-        if name == "_Leaf":
-            return ("leaf", node.key, node.value)
-        return ("bucket", node.hash, tuple(node.items))
-
-    root = pmap._root
-    return None if root is None else go(root)
-
-
-def test_dissoc_against_model():
+def test_assoc_against_model():
     rng = random.Random(1234)
     model = {}
     pmap = PMap()
-    for _ in range(20000):
+    for _ in range(5000):
         key = rng.randrange(400)
-        if rng.random() < 0.55:
-            value = rng.randrange(1000)
-            model[key] = value
-            pmap = pmap.assoc(key, value)
-        else:
-            model.pop(key, None)
-            pmap = pmap.dissoc(key)
+        value = rng.randrange(1000)
+        model[key] = value
+        pmap = pmap.assoc(key, value)
         assert len(pmap) == len(model)
     assert dict(pmap.items()) == model
 
 
-def test_dissoc_absent_is_identity():
-    pmap = PMap.of({1: "a", 2: "b"})
-    assert pmap.dissoc(99) is pmap
-    empty = PMap()
-    assert empty.dissoc(0) is empty
+def test_of_round_trip():
+    items = {f"k{i}": i for i in range(2000)}
+    assert dict(PMap.of(items).items()) == items
 
 
-def test_dissoc_shares_untouched_structure():
-    base = PMap.of({i: i for i in range(256)})
-    shrunk = base.dissoc(0)
-    assert 0 in base and 0 not in shrunk
-    assert len(base) == 256 and len(shrunk) == 255
+def test_assoc_preserves_source():
+    base = PMap.of({i: i for i in range(500)})
+    extended = base
+    for i in range(500, 1000):
+        extended = extended.assoc(i, i)
+    assert len(base) == 500 and len(extended) == 1000
+    assert dict(base.items()) == {i: i for i in range(500)}
+    assert extended.get(750) == 750 and 750 not in base
 
 
-def test_dissoc_is_canonical():
-    """Insert-then-delete leaves the same trie as never inserting."""
-    direct = PMap()
-    for key in range(100):
-        direct = direct.assoc(key, key)
-    detour = PMap()
-    for key in range(200):
-        detour = detour.assoc(key, key)
-    for key in range(199, 99, -1):
-        detour = detour.dissoc(key)
-    assert _shape(direct) == _shape(detour)
+def test_pset_add_is_persistent():
+    pset = PSet.of(range(100))
+    assert pset.add(50) is pset
+    grown = pset.add(100)
+    assert 100 in grown and 100 not in pset
+    assert len(grown) == 101 and len(pset) == 100
 
 
-def test_dissoc_to_empty():
-    pmap = PMap.of({1: "a"})
-    assert _shape(pmap.dissoc(1)) is None
-    assert len(pmap.dissoc(1)) == 0
-
-
-def test_dissoc_collision_bucket():
+def test_collision_bucket():
     class Clash:
         def __init__(self, tag):
             self.tag = tag
@@ -99,86 +60,6 @@ def test_dissoc_collision_bucket():
 
     a, b, c = Clash("a"), Clash("b"), Clash("c")
     pmap = PMap().assoc(a, 1).assoc(b, 2).assoc(c, 3)
-    pmap = pmap.dissoc(b)
-    assert pmap.get(a) == 1 and pmap.get(c) == 3 and b not in pmap
-    # Shrinking a bucket to one entry collapses it back to a leaf.
-    pmap = pmap.dissoc(c)
-    assert _shape(pmap) == ("leaf", a, 1)
-
-
-def test_pset_discard():
-    pset = PSet.of(range(100))
-    assert pset.discard(999) is pset
-    shrunk = pset.discard(50)
-    assert 50 not in shrunk and 50 in pset
-    assert len(shrunk) == 99
-
-
-def test_transient_batch_build_equivalence():
-    items = {f"k{i}": i for i in range(2000)}
-    assert dict(PMap.of(items).items()) == items
-
-
-def test_transient_preserves_source():
-    base = PMap.of({i: i for i in range(500)})
-    builder = base.transient()
-    for i in range(500, 1000):
-        builder.assoc(i, i)
-    built = builder.persistent()
-    assert len(base) == 500 and len(built) == 1000
-    assert dict(base.items()) == {i: i for i in range(500)}
-    assert built.get(750) == 750 and built.get(250) == 250
-
-
-def test_transient_allocates_less_than_path_copying():
-    items = {i: i for i in range(4096)}
-    before = STATS.snapshot()
-    builder = PMap().transient()
-    for key, value in items.items():
-        builder.assoc(key, value)
-    builder.persistent()
-    transient_copied = STATS.snapshot()[0] - before[0]
-    before = STATS.snapshot()
-    pmap = PMap()
-    for key, value in items.items():
-        pmap = pmap.assoc(key, value)
-    path_copied = STATS.snapshot()[0] - before[0]
-    assert transient_copied < path_copied / 2
-
-
-def test_transient_frozen_after_persistent():
-    builder = PMap().transient()
-    builder.assoc(1, 1)
-    builder.persistent()
-    with pytest.raises(ValueError):
-        builder.assoc(2, 2)
-
-
-def test_transient_result_is_immutable_trie():
-    built = PMap.of({i: i for i in range(100)})
-    extended = built.assoc(100, 100)
-    assert len(built) == 100 and len(extended) == 101
-    assert isinstance(TMap(None, 0).persistent(), PMap)
-
-
-def test_set_tier_snapshot_is_immutable():
-    tier = SetTier()
-    tier.add("a")
-    snap = tier.snapshot()
-    tier.add("b")
-    assert "b" in tier and "a" in tier
-    assert "b" not in snap and "a" in snap
-    assert sorted(tier) == ["a", "b"]
-    tier.discard("a")
-    assert "a" not in tier and "a" in snap
-
-
-def test_map_tier_setdefault_contract():
-    tier = MapTier()
-    record = tier.setdefault("fp", [])
-    record.append("sleep-set")
-    assert tier.setdefault("fp", []) == ["sleep-set"]
-    assert len(tier) == 1 and "fp" in tier
-    spine = tier.snapshot()
-    tier.setdefault("fp2", [])
-    assert "fp2" in tier and "fp2" not in spine
+    assert pmap.get(a) == 1 and pmap.get(b) == 2 and pmap.get(c) == 3
+    assert len(pmap.assoc(b, 2)) == 3 and pmap.assoc(b, 2) is pmap
+    assert pmap.assoc(b, 5).get(b) == 5 and pmap.get(b) == 2

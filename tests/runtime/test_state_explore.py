@@ -2,7 +2,7 @@
 
 from repro.crdts import SBGSet, SBPNCounter
 from repro.runtime import StateBasedSystem
-from repro.runtime.state_explore import explore_state_programs
+from repro.runtime.explore_engine import explore_state_programs
 
 
 def make(crdt_factory, replicas=("r1", "r2")):

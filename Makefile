@@ -24,7 +24,7 @@ bench-explore:
 bench-dpor:
 	$(PYTHON) -m pytest benchmarks/test_bench_dpor.py --benchmark-only -s
 
-# Work-stealing scheduler vs. static fan-out + fingerprint-store
+# Work-stealing pool, splitting vs. unsplit seed tasks, + fingerprint-store
 # memory tiers; merges steal_3r / fp_store sections into
 # BENCH_explore.json.  Add -m slow for the 4-replica spill scope.
 bench-steal:

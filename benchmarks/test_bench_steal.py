@@ -1,9 +1,11 @@
-"""Work-stealing scheduler vs static root-branch fan-out (our measurement).
+"""Work-stealing pool, splitting vs unsplit seed tasks (our measurement).
 
-The skewed case the scheduler exists for: a *symmetric* 3-replica scope,
+The skewed case splitting exists for: a *symmetric* 3-replica scope,
 where orbit filtering collapses every root branch into one
-representative — the static fan-out degenerates to a serial run no
-matter how many workers it is given, while the stealing pool splits the
+representative — a pool that only runs root-branch seeds (the
+``static`` rows below; also what a source-DPOR run does, since source
+tasks never split) degenerates to a serial run no matter how many
+workers it is given, while a splitting sleep-set pool spreads the
 surviving branch's subtrees across the pool.
 
 Machines without enough cores cannot measure that wall-clock gap

@@ -9,7 +9,7 @@ ways and records the comparison in ``BENCH_verify.json``:
 * **serial** — the current tree with the frontier/verdict caches on
   (their defaults);
 * **parallel** — the current tree through
-  :func:`repro.proofs.parallel.verify_scopes_parallel` with ``jobs=4``.
+  :func:`repro.proofs.steal.verify_scopes_steal` with ``jobs=4``.
 
 Every leg is a fresh subprocess (cold caches, same interpreter), timed
 inside the child so interpreter start-up is excluded; each leg runs

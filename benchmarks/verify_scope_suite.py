@@ -86,14 +86,14 @@ def run_serial():
 
 def run_parallel(jobs):
     """Verify every scope through the shared worker pool (current API)."""
-    from repro.proofs.parallel import verify_scopes_parallel
+    from repro.proofs.steal import verify_scopes_steal
     from repro.proofs.registry import entry_by_name
 
     scopes = [
         (entry_by_name(name), programs, max_gossips)
         for name, programs, max_gossips in SCOPES
     ]
-    merged = verify_scopes_parallel(scopes, jobs=jobs)
+    merged = verify_scopes_steal(scopes, jobs=jobs)
     return [merged[name] for name, _, _ in SCOPES]
 
 

@@ -67,7 +67,7 @@ from .proofs import (
     verify_entries_parallel,
     verify_entry,
     verify_mutant,
-    verify_scopes_parallel,
+    verify_scopes_steal,
     verify_store,
 )
 from .runtime.composition import check_composed_ra_linearizable
@@ -286,12 +286,11 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     symmetry = False if args.no_symmetry else None
     if args.jobs > 1:
         scopes = [(entry, standard_programs(entry), None) for entry in entries]
-        merged = verify_scopes_parallel(scopes, jobs=args.jobs,
-                                        symmetry=symmetry,
-                                        steal=args.steal, spill=args.spill,
-                                        instrumentation=ins, por=args.por,
-                                        progress=args.progress,
-                                        heartbeat_log=args.heartbeat_log)
+        merged = verify_scopes_steal(scopes, jobs=args.jobs,
+                                     symmetry=symmetry, spill=args.spill,
+                                     instrumentation=ins, por=args.por,
+                                     progress=args.progress,
+                                     heartbeat_log=args.heartbeat_log)
         results = [merged[entry.name] for entry in entries]
     else:
         monitor, emitter = _progress_monitor(args)
@@ -331,8 +330,8 @@ def _cmd_exhaustive_store(args: argparse.Namespace) -> int:
         args.jobs = default_jobs()
     symmetry = False if args.no_symmetry else None
     result = verify_store(
-        store, jobs=args.jobs, symmetry=symmetry, steal=args.steal,
-        spill=args.spill, por=args.por, instrumentation=ins,
+        store, jobs=args.jobs, symmetry=symmetry, spill=args.spill,
+        por=args.por, instrumentation=ins,
         progress=args.progress, heartbeat_log=args.heartbeat_log,
     )
     print(format_store(
@@ -495,24 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exhaustive.add_argument(
         "--jobs", type=int, default=1,
-        help="split exploration trees over N worker processes "
-             "(1 = in-process, 0 = all cores)",
+        help="explore over N work-stealing worker processes "
+             "(1 = in-process, 0 = all cores; see docs/performance.md)",
     )
     exhaustive.add_argument(
         "--no-symmetry", action="store_true", dest="no_symmetry",
         help="disable replica-orbit deduplication (count raw "
              "configurations instead of orbits; see docs/exploration.md)",
-    )
-    exhaustive.add_argument(
-        "--steal", action="store_true", dest="steal", default=None,
-        help="with --jobs N, re-balance skewed subtrees via the "
-             "work-stealing scheduler (the default; see "
-             "docs/performance.md)",
-    )
-    exhaustive.add_argument(
-        "--no-steal", action="store_false", dest="steal",
-        help="with --jobs N, use the static root-branch frontier split "
-             "instead of work stealing",
     )
     exhaustive.add_argument(
         "--por", choices=("sleep", "source"), default="source",

@@ -15,7 +15,7 @@ snapshot + trace events) back through the pool pipe; the coordinator
 :meth:`absorb_worker`-s each payload.  Deterministic counters — the ones
 a serial run and a ``--jobs N`` run must agree on — are recorded exactly
 once per scope by whichever layer owns the *final* merged result (see
-:meth:`record_result` and :mod:`repro.proofs.parallel`).
+:meth:`record_result` and :mod:`repro.proofs.steal`).
 """
 
 import json
@@ -155,11 +155,11 @@ class Instrumentation:
     def record_explore(self, stats: Any, kind: str) -> None:
         """Fold one exploration run's :class:`ExploreStats` into metrics.
 
-        All ``explore.*`` instruments are *work* metrics: frontier-split
-        workers re-expand subtree-shared states, so their totals may
-        exceed a serial run's.  They carry the ``kind`` label only, in
-        every execution mode (serial, static split, work stealing), so
-        the metric key set does not depend on how a scope was run.
+        All ``explore.*`` instruments are *work* metrics: pool workers
+        re-expand subtree-shared states, so their totals may exceed a
+        serial run's.  They carry the ``kind`` label only, in every
+        execution mode (serial or work stealing), so the metric key set
+        does not depend on how a scope was run.
         """
         if self.metrics is None:
             return
@@ -212,20 +212,10 @@ class Instrumentation:
             m.counter("explore.dpor.redundant_avoided", **labels).inc(
                 stats.dpor_redundant_avoided
             )
-        if stats.dpor_deferred:
-            m.counter("explore.dpor.deferred", **labels).inc(
-                stats.dpor_deferred
-            )
         if stats.dpor_full_expansions:
             m.counter("explore.dpor.full_expansions", **labels).inc(
                 stats.dpor_full_expansions
             )
-        if stats.dpor_deferred_seen:
-            # Peak LRU occupancy, not an event count: take the max across
-            # workers rather than summing.
-            m.gauge(
-                "explore.dpor.deferred_seen", policy="max", **labels
-            ).set(stats.dpor_deferred_seen)
         if stats.pstate_copied:
             m.counter("explore.pstate.nodes_copied", **labels).inc(
                 stats.pstate_copied
@@ -299,8 +289,8 @@ class Instrumentation:
         """Record a scope's *final* outcome (deterministic counters).
 
         Must be called exactly once per verified scope, on the merged
-        result in the parallel paths — never on a frontier-split branch
-        shard — so serial and ``--jobs N`` totals coincide.
+        result in the parallel paths — never on one worker's session —
+        so serial and ``--jobs N`` totals coincide.
         """
         if self.metrics is None:
             return

@@ -1,7 +1,7 @@
 """Structured metrics with snapshot and deterministic merge.
 
-The verification pipeline is process-parallel (:mod:`repro.proofs.parallel`
-ships frontier-split shards to worker processes), so metrics cannot be a
+The verification pipeline is process-parallel (:mod:`repro.proofs.steal`
+ships subtree tasks to worker processes), so metrics cannot be a
 single shared mutable registry.  Instead each process owns a
 :class:`MetricsRegistry`, and registries communicate by **snapshot**: a
 plain-JSON dict that pickles through the worker pipe exactly like the
@@ -20,7 +20,7 @@ Instruments are created lazily by name + labels and carry a
   them exactly once per scope — post-merge in the parallel paths — so a
   serial run and a ``--jobs N`` run produce identical values.
 * **work** instruments (the default) describe *how much machinery ran*
-  (states visited, cache hits, queue wait).  Frontier-split workers
+  (states visited, cache hits, queue wait).  Pool workers
   legitimately re-explore shared subtree states, so their totals may
   exceed the serial run's; they explain cost, not results.
 """

@@ -453,7 +453,6 @@ def verify_store(
     reduction: Optional[bool] = None,
     symmetry: Optional[bool] = None,
     cache: bool = True,
-    steal: Optional[bool] = None,
     spill: Optional[str] = None,
     por: str = "sleep",
     side_condition_limit: int = SIDE_CONDITION_LIMIT,
@@ -503,7 +502,7 @@ def verify_store(
     if jobs > 1 and len(groups) > 1:
         group_results = _verify_groups_parallel(
             groups, jobs=jobs, reduction=reduction, symmetry=symmetry,
-            cache=cache, steal=steal, spill=spill, por=por,
+            cache=cache, spill=spill, por=por,
             instrumentation=ins, progress=progress,
             heartbeat_log=heartbeat_log,
         )
@@ -512,7 +511,7 @@ def verify_store(
         for entry, projected, _ in groups:
             group_results.append(exhaustive_verify(
                 entry, projected, reduction=reduction, symmetry=symmetry,
-                cache=cache, jobs=jobs, steal=steal, spill=spill, por=por,
+                cache=cache, jobs=jobs, spill=spill, por=por,
                 instrumentation=ins,
             ))
     for (entry, projected, names), obj_result in zip(groups, group_results):
@@ -545,18 +544,18 @@ def verify_store(
 
 
 def _verify_groups_parallel(
-    groups, jobs, reduction, symmetry, cache, steal, spill, por,
+    groups, jobs, reduction, symmetry, cache, spill, por,
     instrumentation, progress, heartbeat_log,
 ) -> List[ExhaustiveResult]:
     """Run per-object scopes through the shared worker pool.
 
     One scope per object group — the steal pool turns each scope into its
     own task stream and merges deterministically (serial-identical
-    results, as in the PR-6 fan-out).  ``verify_scopes_parallel`` keys its
-    result table by entry name, so groups sharing an entry name (same
-    CRDT, different programs) are split across sequential batches.
+    results).  ``verify_scopes_steal`` keys its result table by entry
+    name, so groups sharing an entry name (same CRDT, different
+    programs) are split across sequential batches.
     """
-    from .parallel import verify_scopes_parallel
+    from .steal import verify_scopes_steal
 
     batches: List[List[int]] = []
     batch_names: List[set] = []
@@ -574,9 +573,9 @@ def _verify_groups_parallel(
         scopes = [
             (groups[index][0], groups[index][1], None) for index in batch
         ]
-        merged = verify_scopes_parallel(
+        merged = verify_scopes_steal(
             scopes, jobs=jobs, reduction=reduction, symmetry=symmetry,
-            cache=cache, steal=steal, spill=spill, por=por,
+            cache=cache, spill=spill, por=por,
             instrumentation=instrumentation, progress=progress,
             heartbeat_log=heartbeat_log,
         )

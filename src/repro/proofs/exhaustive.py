@@ -34,6 +34,7 @@ from ..runtime.explore_naive import (
 )
 from ..runtime.fp_store import FingerprintStore, FPStoreStats
 from ..runtime.schedule import Program, explore_op_programs
+from ..runtime.state_system import StateBasedSystem
 from ..runtime.system import OpBasedSystem
 from .registry import CRDTEntry
 
@@ -158,6 +159,26 @@ def _make_visit(
     return visit
 
 
+def _system_factory(entry: CRDTEntry, programs: Dict[str, Program], por: str):
+    """The engine's ``make_system`` for ``entry`` over ``programs``.
+
+    Op-based entries get an :class:`OpBasedSystem`, state-based ones a
+    :class:`StateBasedSystem`.  Source-DPOR branches orders of magnitude
+    more often than it mutates, so under ``por="source"`` the systems use
+    persistent (hash-trie) containers that make each branch point
+    O(delta) instead of O(configuration).
+    """
+    system_cls = OpBasedSystem if entry.kind == "OB" else StateBasedSystem
+    replicas = sorted(programs)
+    persistent = por == "source"
+
+    def make_system():
+        return system_cls(entry.make_crdt(), replicas=replicas,
+                          persistent=persistent)
+
+    return make_system
+
+
 def exhaustive_verify(
     entry: CRDTEntry,
     programs: Dict[str, Program],
@@ -167,10 +188,7 @@ def exhaustive_verify(
     symmetry: Optional[bool] = None,
     cache: bool = True,
     jobs: int = 1,
-    root_branch: Optional[int] = None,
-    fingerprints: Optional[set] = None,
     instrumentation: Optional[Instrumentation] = None,
-    steal: Optional[bool] = None,
     spill: Optional[str] = None,
     fp_store: bool = False,
     oversubscribe: bool = False,
@@ -193,14 +211,10 @@ def exhaustive_verify(
 
     ``cache=False`` disables the shared verification caches (see
     :func:`_make_visit`).  ``jobs > 1`` fans the exploration out over
-    worker processes — by default the work-stealing scheduler
-    (:mod:`repro.proofs.steal`), or the static root-branch fan-out with
-    ``steal=False`` (see :mod:`repro.proofs.parallel`).  The stealing
-    path shares ``max_configurations`` as a cross-worker budget so the
-    parallel cutoff lands on exactly the serial count; the static path
-    remains incompatible with it.  Neither supports the naive engine.
-    ``root_branch``/``fingerprints`` are the worker-side hooks of the
-    static fan-out and are rarely useful directly.
+    the work-stealing pool (:mod:`repro.proofs.steal`), which shares
+    ``max_configurations`` as a cross-worker budget so the parallel
+    cutoff lands on exactly the serial count.  The pool does not run the
+    naive engine.
 
     ``spill DIR`` interns fingerprints as fixed-width digests behind a
     collision-checked :class:`FingerprintStore` and spills the
@@ -212,8 +226,8 @@ def exhaustive_verify(
 
     ``instrumentation`` threads the observability handle through the
     whole run (scope span, exploration/cache metrics, the deterministic
-    ``verify.*`` counters — recorded here only for whole-tree runs; the
-    parallel merge records them for frontier-split shards).
+    ``verify.*`` counters; the pool records those once, on its merged
+    result).
 
     ``por`` selects the partial-order-reduction flavor: ``"sleep"``
     (classic sleep sets, the differential oracle) or ``"source"``
@@ -239,40 +253,25 @@ def exhaustive_verify(
     if jobs > 1:
         if engine == "naive":
             raise ValueError("jobs > 1 requires the fast engine")
-        from .parallel import exhaustive_verify_parallel
+        from .steal import exhaustive_verify_steal
 
-        return exhaustive_verify_parallel(
+        return exhaustive_verify_steal(
             entry, programs, jobs=jobs, reduction=reduction,
             symmetry=symmetry, cache=cache, instrumentation=ins,
-            steal=steal, spill=spill,
-            max_configurations=max_configurations,
+            spill=spill, max_configurations=max_configurations,
             oversubscribe=oversubscribe, por=por,
         )
     result = ExhaustiveResult(entry.name)
     visit = _make_visit(entry, result, cache and engine == "fast", ins)
     store: Optional[FingerprintStore] = None
-    expanded = None
     if (spill is not None or fp_store) and engine == "fast":
         store = FingerprintStore(spill_dir=spill)
-        if fingerprints is None:
-            fingerprints = store.visited_set()
-        expanded = store.expanded_map()
-    if root_branch is None:
-        ins.journal_event("scope.start", entry=entry.name, family="OB")
+    ins.journal_event("scope.start", entry=entry.name, family="OB")
     if heartbeat is not None:
         heartbeat.begin_task(entry.name)
+    make_system = _system_factory(entry, programs, por)
 
-    def make_system() -> OpBasedSystem:
-        # Source-DPOR branches orders of magnitude more often than it
-        # mutates; the persistent (hash-trie) containers make each branch
-        # point O(delta) instead of O(configuration).
-        return OpBasedSystem(
-            entry.make_crdt(), replicas=sorted(programs),
-            persistent=(por == "source"),
-        )
-
-    with ins.span("exhaustive.scope", entry=entry.name, kind="OB",
-                  root_branch=root_branch):
+    with ins.span("exhaustive.scope", entry=entry.name, kind="OB"):
         if engine == "naive":
             result.configurations = explore_op_programs_naive(
                 make_system, programs, visit,
@@ -286,14 +285,23 @@ def exhaustive_verify(
                 reduction=entry.reduction if reduction is None else reduction,
                 symmetry=entry.symmetry if symmetry is None else symmetry,
                 stats=result.stats,
-                root_branch=root_branch,
-                fingerprints=fingerprints,
                 instrumentation=ins,
                 fp_store=store,
-                expanded=expanded,
                 por=por,
                 heartbeat=heartbeat,
             )
+    _finish_scope(entry, result, store, ins, heartbeat)
+    return result
+
+
+def _finish_scope(
+    entry: CRDTEntry,
+    result: ExhaustiveResult,
+    store: Optional[FingerprintStore],
+    ins: Instrumentation,
+    heartbeat: Optional[object],
+) -> None:
+    """Close out a serial scope: final beat, store stats, scope metrics."""
     if heartbeat is not None:
         heartbeat.emit()  # final beat: short scopes get at least one
     if store is not None:
@@ -310,13 +318,11 @@ def exhaustive_verify(
     if ins.enabled:
         if result.check_stats is not None:
             ins.record_check(result.check_stats, entry=entry.name)
-        if root_branch is None:
-            ins.record_result(entry.name, result)
-            ins.journal_event(
-                "scope.end", entry=entry.name, ok=result.ok,
-                configurations=result.configurations,
-            )
-    return result
+        ins.record_result(entry.name, result)
+        ins.journal_event(
+            "scope.end", entry=entry.name, ok=result.ok,
+            configurations=result.configurations,
+        )
 
 
 def exhaustive_verify_state(
@@ -329,10 +335,7 @@ def exhaustive_verify_state(
     symmetry: Optional[bool] = None,
     cache: bool = True,
     jobs: int = 1,
-    root_branch: Optional[int] = None,
-    fingerprints: Optional[set] = None,
     instrumentation: Optional[Instrumentation] = None,
-    steal: Optional[bool] = None,
     spill: Optional[str] = None,
     fp_store: bool = False,
     oversubscribe: bool = False,
@@ -344,12 +347,10 @@ def exhaustive_verify_state(
     Explores every interleaving of the programs with up to ``max_gossips``
     gossip steps (see :mod:`repro.runtime.explore_engine`) and checks the
     EO/TO candidate linearization plus convergence on each.  ``engine``,
-    ``reduction``, ``symmetry``, ``cache``, ``jobs``, ``steal``,
-    ``spill``, ``por`` and ``instrumentation`` behave as in
-    :func:`exhaustive_verify`.
+    ``reduction``, ``symmetry``, ``cache``, ``jobs``, ``spill``, ``por``
+    and ``instrumentation`` behave as in :func:`exhaustive_verify`.
     """
     from ..runtime.explore_engine import explore_state_programs
-    from ..runtime.state_system import StateBasedSystem
 
     if entry.kind != "SB":
         raise ValueError(f"{entry.name} is op-based; use exhaustive_verify")
@@ -360,37 +361,26 @@ def exhaustive_verify_state(
     if jobs > 1:
         if engine == "naive":
             raise ValueError("jobs > 1 requires the fast engine")
-        from .parallel import exhaustive_verify_parallel
+        from .steal import exhaustive_verify_steal
 
-        return exhaustive_verify_parallel(
+        return exhaustive_verify_steal(
             entry, programs, jobs=jobs, max_gossips=max_gossips,
             reduction=reduction, symmetry=symmetry, cache=cache,
-            instrumentation=ins, steal=steal, spill=spill,
+            instrumentation=ins, spill=spill,
             max_configurations=max_configurations,
             oversubscribe=oversubscribe, por=por,
         )
     result = ExhaustiveResult(entry.name)
     visit = _make_visit(entry, result, cache and engine == "fast", ins)
     store: Optional[FingerprintStore] = None
-    expanded = None
     if (spill is not None or fp_store) and engine == "fast":
         store = FingerprintStore(spill_dir=spill)
-        if fingerprints is None:
-            fingerprints = store.visited_set()
-        expanded = store.expanded_map()
-    if root_branch is None:
-        ins.journal_event("scope.start", entry=entry.name, family="SB")
+    ins.journal_event("scope.start", entry=entry.name, family="SB")
     if heartbeat is not None:
         heartbeat.begin_task(entry.name)
+    make_system = _system_factory(entry, programs, por)
 
-    def make_system() -> StateBasedSystem:
-        return StateBasedSystem(
-            entry.make_crdt(), replicas=sorted(programs),
-            persistent=(por == "source"),
-        )
-
-    with ins.span("exhaustive.scope", entry=entry.name, kind="SB",
-                  root_branch=root_branch):
+    with ins.span("exhaustive.scope", entry=entry.name, kind="SB"):
         if engine == "naive":
             result.configurations = explore_state_programs_naive(
                 make_system, programs, visit,
@@ -406,36 +396,12 @@ def exhaustive_verify_state(
                 reduction=entry.reduction if reduction is None else reduction,
                 symmetry=entry.symmetry if symmetry is None else symmetry,
                 stats=result.stats,
-                root_branch=root_branch,
-                fingerprints=fingerprints,
                 instrumentation=ins,
                 fp_store=store,
-                expanded=expanded,
                 por=por,
                 heartbeat=heartbeat,
             )
-    if heartbeat is not None:
-        heartbeat.emit()  # final beat: short scopes get at least one
-    if store is not None:
-        result.fp_store = store.stats
-        if ins.enabled:
-            ins.record_fp_store(store.stats, entry=entry.name)
-            if store.stats.spilled:
-                ins.journal_event(
-                    "spill.promote", entry=entry.name,
-                    spilled=store.stats.spilled,
-                    evictions=store.stats.evictions,
-                )
-        store.close()
-    if ins.enabled:
-        if result.check_stats is not None:
-            ins.record_check(result.check_stats, entry=entry.name)
-        if root_branch is None:
-            ins.record_result(entry.name, result)
-            ins.journal_event(
-                "scope.end", entry=entry.name, ok=result.ok,
-                configurations=result.configurations,
-            )
+    _finish_scope(entry, result, store, ins, heartbeat)
     return result
 
 

@@ -361,7 +361,7 @@ def format_metrics(artifact: Mapping[str, Any]) -> str:
     Renders the artifact in four sections: deterministic counters (the
     values a serial run and a ``--jobs N`` run agree on exactly), work
     counters and gauges (cost — may legitimately exceed serial totals
-    under frontier splitting), span timings, and the trace-event count.
+    in the work-stealing pool), span timings, and the trace-event count.
     """
     lines = [f"metrics artifact — command: {artifact.get('command', '?')}"]
     generated = artifact.get("generated_at")
@@ -440,10 +440,7 @@ def format_metrics(artifact: Mapping[str, Any]) -> str:
             ("dpor races analyzed", total("explore.dpor.races")),
             ("dpor redundant avoided",
              total("explore.dpor.redundant_avoided")),
-            ("dpor reversals deferred", total("explore.dpor.deferred")),
             ("dpor full expansions", total("explore.dpor.full_expansions")),
-            ("dpor deferred-seen LRU peak",
-             total("explore.dpor.deferred_seen")),
             ("pstate nodes copied", total("explore.pstate.nodes_copied")),
             ("pstate nodes shared", total("explore.pstate.nodes_shared")),
         ]

@@ -1,38 +1,34 @@
-"""Work-stealing parallel exhaustive verification.
-
-The static frontier split (:mod:`repro.proofs.parallel`) carves the
-search at the DFS *root*: one task per root branch, fixed up front.  On
-skewed scopes — symmetric programs where orbit filtering leaves one huge
-representative branch, or asymmetric programs where one replica's
-subtree dwarfs the rest — most workers finish early and idle while a
-single straggler explores the bulk of the tree.
-
-This module replaces the static carve with a **work-stealing pool**:
+"""Work-stealing parallel exhaustive verification — the one parallel
+scheduler behind ``jobs > 1``.
 
 * Workers pull ``(root-branch | replayed-path, sleep-set)`` tasks from a
-  shared :class:`multiprocessing.Queue`.  The initial tasks are exactly
-  the static root branches (orbit-filtered under symmetry, seeds
-  preserved), so a run that never splits degenerates to the static
-  fan-out.
-* A worker whose DFS notices the pool is hungry — idle workers, or a
-  task queue below its pending target — *splits*: an unexplored sibling
-  subtree is handed back to the queue as a ``(path from root, inherited
-  sleep set)`` task instead of being explored locally (see
-  ``_Engine._dfs`` and ``_Engine._run_path`` in
-  :mod:`repro.runtime.explore_engine`).  Test-apply keeps serial
-  semantics: the spawned task carries exactly the sleep seeds the serial
-  DFS would have descended with.
+  shared :class:`multiprocessing.Queue`.  The seed tasks are the root
+  branches of every scope (orbit-filtered under symmetry, sleep seeds
+  preserved; see ``_Engine._run_root_branch`` in
+  :mod:`repro.runtime.explore_engine`).
+* Under sleep sets, a worker whose DFS notices the pool is hungry — idle
+  workers, or a task queue below its pending target — *splits*: an
+  unexplored sibling subtree is handed back to the queue as a ``(path
+  from root, inherited sleep set)`` task instead of being explored
+  locally (see ``_Engine._dfs`` and ``_Engine._run_path``).  Test-apply
+  keeps serial semantics: the spawned task carries exactly the sleep
+  seeds the serial DFS would have descended with.
+* Source-DPOR tasks never split.  Their completeness depends on race
+  reversals landing on ancestor frames, and a stolen subtree cannot see
+  the victim's frames, so a source run fans out by its root-branch seeds
+  only (the root is an ``"ignore"`` frame: every root transition is its
+  own seed, so no reversal there is ever needed).
 * Each worker keeps one engine *session* per scope (domain, visited and
   expanded records, verdict caches) across all its tasks, so dedup warms
   up like a serial run's; sessions intern fingerprints as fixed-width
   digests through a :class:`~repro.runtime.fp_store.FingerprintStore`
   (optionally disk-spilled), and the deterministic merge unions the
-  digest sets exactly as the static path unions raw fingerprints.
+  digest sets.
 
 Determinism: the merged verdicts, distinct-configuration counts, and
-additive metrics are identical to the serial engine's — stealing only
-re-partitions *which worker* explores a subtree, never *whether* it is
-explored (workers' visited records are local, so a subtree is at worst
+deterministic metrics are identical to the serial engine's — stealing
+only re-partitions *which worker* explores a subtree, never *whether* it
+is explored (workers' visited records are local, so a subtree is at worst
 re-explored, never skipped).  ``max_configurations`` becomes a shared
 cross-worker budget (:class:`_SharedBudget`) whose three-valued claim
 protocol guarantees the merged count stops at exactly the serial cap.
@@ -42,36 +38,44 @@ every task has an id, every ack names the ids it spawned, and the
 coordinator is done when the acked set equals the expected set (seeds
 plus all spawned ids) — robust to acks arriving before their parent's
 ack registers them.
+
+Worker processes reconstruct their :class:`CRDTEntry` by *name* via
+:func:`repro.proofs.registry.entry_by_name` — entry factories are lambdas
+and do not pickle — so the pool covers registry entries only.
 """
 
 import io
 import multiprocessing as mp
-import os
 import queue
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..core.ralin import CheckStats
 from ..obs.heartbeat import HeartbeatEmitter
 from ..obs.instrument import Instrumentation, NULL_INSTRUMENTATION
 from ..obs.progress import ProgressMonitor
 from ..runtime.explore_engine import ExploreStats, build_engine
-from ..runtime.fp_store import FingerprintStore
+from ..runtime.fp_store import FingerprintStore, FPStoreStats
 from ..runtime.schedule import Program
-from ..runtime.state_system import StateBasedSystem
-from ..runtime.system import OpBasedSystem
+from ..runtime.symmetry import build_group, rename_transition
+from ..runtime.system import DEFAULT_OBJECT
 from .exhaustive import (
     ExhaustiveResult,
     _make_visit,
+    _system_factory,
     exhaustive_verify,
     exhaustive_verify_state,
 )
+from .parallel import (
+    _obs_envelope,
+    _require_registered,
+    _worker_count,
+    _worker_instrumentation,
+    default_jobs,
+)
 from .registry import CRDTEntry, entry_by_name
-
-#: Stealing on by default in the parallel paths (``--no-steal`` reverts
-#: to the static root-branch fan-out).
-STEAL_DEFAULT = True
 
 #: A worker considers splitting on every Nth eligible DFS node — the
 #: tick gate keeps the qsize/idle probes off the per-node hot path.
@@ -202,19 +206,14 @@ class _WorkerScheduler:
                 self._qsize_ok = False
         return False
 
-    def offload(self, path: Sequence[Tuple], sleep: Any,
-                frames: Optional[Tuple] = None) -> None:
-        # ``frames`` (source-DPOR only) carries the victim's per-prefix-node
-        # sleep sets so the thief can process race reversals that land on
-        # the replayed prefix; sleep-mode offloads stay 2-argument.
+    def offload(self, path: Sequence[Tuple], sleep: Any) -> None:
         self._seq += 1
         task_id = ("w", self.worker_id, self._seq)
         self.spawn_times[task_id] = time.perf_counter()
         self.spawned.append(task_id)
         self.task_q.put(
             (task_id, self.current_task, self.scope_index, None,
-             tuple(path), frozenset(sleep),
-             tuple(frames) if frames is not None else None)
+             tuple(path), frozenset(sleep))
         )
 
 
@@ -261,6 +260,9 @@ class _Session:
     visited records mean a subtree already explored by *another* worker
     may be re-explored here — wasted work, never missed work — which is
     why the merge unions fingerprint sets instead of summing counts.
+
+    Only sleep-set sessions get the split hook: a source-DPOR task runs
+    its whole subtree here (see the module docstring).
     """
 
     def __init__(self, spec: _ScopeSpec, budget, scheduler,
@@ -280,35 +282,17 @@ class _Session:
         self.fps: Any = (
             self.store.visited_set() if self.store is not None else set()
         )
-        expanded = (
-            self.store.expanded_map() if self.store is not None else None
-        )
-        persistent = por == "source"
-        if entry.kind == "OB":
-            kind = "op"
-
-            def make_system():
-                return OpBasedSystem(entry.make_crdt(),
-                                     replicas=sorted(programs),
-                                     persistent=persistent)
-        else:
-            kind = "state"
-
-            def make_system():
-                return StateBasedSystem(entry.make_crdt(),
-                                        replicas=sorted(programs),
-                                        persistent=persistent)
-        self.kind = kind
+        self.kind = "op" if entry.kind == "OB" else "state"
         self.engine = build_engine(
-            kind, make_system, programs, visit,
+            self.kind, _system_factory(entry, programs, por), programs,
+            visit,
             max_gossips=max_gossips or 0,
             reduction=entry.reduction if reduction is None else reduction,
             symmetry=entry.symmetry if symmetry is None else symmetry,
             stats=self.stats,
             fingerprints=self.fps,
-            expanded=expanded,
             fp_store=self.store,
-            scheduler=scheduler,
+            scheduler=scheduler if por == "sleep" else None,
             budget=budget,
             por=por,
             profile=ins.profile,
@@ -317,10 +301,9 @@ class _Session:
         )
 
     def run(self, branch: Optional[int], path: Optional[Tuple],
-            sleep: Any, frames: Optional[Tuple] = None) -> None:
+            sleep: Any) -> None:
         self.engine.run(root_branch=branch, path=path,
-                        sleep=frozenset(sleep) if sleep else frozenset(),
-                        frames=frames)
+                        sleep=frozenset(sleep) if sleep else frozenset())
 
     def harvest(self, scope_index: int, ins: Instrumentation):
         """Close out the session: ``(scope_index, result, fingerprints)``."""
@@ -358,8 +341,6 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
     the worker owns a :class:`HeartbeatEmitter` whose records travel to
     the coordinator's :class:`ProgressMonitor` through that queue.
     """
-    from .parallel import _worker_instrumentation
-
     ins = _worker_instrumentation(obs)
     scheduler = _WorkerScheduler(worker_id, task_q, idle,
                                  pending_target, split_interval)
@@ -377,8 +358,7 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
             task = _take(task_q, idle, stop, idle_box)
             if task is None:
                 break
-            task_id, parent_id, scope_index, branch, path, sleep, frames = \
-                task
+            task_id, parent_id, scope_index, branch, path, sleep = task
             session = sessions.get(scope_index)
             if session is None:
                 session = _Session(scope_table[scope_index], budget,
@@ -401,7 +381,7 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
             if budget is None or not budget.exhausted():
                 with ins.span("steal.task", worker=worker_id,
                               scope=scope_index):
-                    session.run(branch, path, sleep, frames)
+                    session.run(branch, path, sleep)
             timeline.append(
                 (task_id, parent_id, scope_index, started,
                  time.perf_counter())
@@ -421,19 +401,57 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
                    traceback.format_exc()))
 
 
-def steal_workers(jobs: int, oversubscribe: bool = False) -> int:
-    """Effective pool size: ``jobs`` capped by cores.
+def _root_transitions(
+    kind: str, programs: Dict[str, Program], max_gossips: Optional[int]
+) -> List[Tuple]:
+    """The exploration root's out-edges, in domain order.
 
-    Unlike the static path, the task count does not cap the pool —
-    splitting manufactures tasks for otherwise-idle workers.
-    ``oversubscribe`` drops the core cap: exploration workers block on
-    queue I/O often enough that tests (and the bench harness) can
-    exercise real multi-process scheduling on machines with fewer cores
-    than workers.
+    At the root no label has been generated, so the only op-based
+    transitions are the first invocations; state-based roots additionally
+    offer every ordered gossip pair while budget remains.  Mirrors
+    ``_OpDomain.transitions`` / ``_StateDomain.transitions`` over
+    ``sorted(programs)`` (the replica order both systems are built with).
     """
-    if oversubscribe:
-        return max(1, jobs)
-    return max(1, min(jobs, os.cpu_count() or 1))
+    replicas = sorted(programs)
+    trans: List[Tuple] = [
+        ("inv", r, 0) for r in replicas if programs[r]
+    ]
+    if kind == "SB" and (max_gossips or 0) > 0:
+        for source in replicas:
+            for target in replicas:
+                if source != target:
+                    trans.append(("gos", source, target))
+    return trans
+
+
+def _symmetric_root_reps(
+    entry: CRDTEntry,
+    transitions: List[Tuple],
+    programs: Dict[str, Program],
+) -> List[int]:
+    """Indices of one root branch per replica-permutation orbit.
+
+    Two root transitions in the same orbit start subtrees whose
+    configurations are replica-renamings of each other; with orbit dedup
+    active inside every worker, seeding both would do the second
+    subtree's work only to merge it away.  The kept representative is
+    always the orbit's *first* branch, so its sleep-set seeds (the earlier
+    branches) are preserved exactly as the serial engine builds them.
+    """
+    extra = (DEFAULT_OBJECT,) if entry.kind == "OB" else ()
+    group = build_group(programs, extra_names=extra)
+    if not group.enabled:
+        return list(range(len(transitions)))
+    seen_orbits = set()
+    kept = []
+    for index, transition in enumerate(transitions):
+        orbit = min(
+            rename_transition(transition, mapping) for mapping in group.maps
+        )
+        if orbit not in seen_orbits:
+            seen_orbits.add(orbit)
+            kept.append(index)
+    return kept
 
 
 def _seed_tasks(
@@ -443,13 +461,7 @@ def _seed_tasks(
     cache: bool,
     por: str = "sleep",
 ) -> Tuple[List[_ScopeSpec], List[Tuple]]:
-    """Static root-branch seeds (orbit-filtered) plus the scope table."""
-    from .parallel import (
-        _require_registered,
-        _root_transitions,
-        _symmetric_root_reps,
-    )
-
+    """Root-branch seeds (orbit-filtered) plus the scope table."""
     scope_table: List[_ScopeSpec] = []
     seeds: List[Tuple] = []
     for scope_index, (entry, programs, max_gossips) in enumerate(scopes):
@@ -465,9 +477,98 @@ def _seed_tasks(
         for branch in branches:
             seeds.append(
                 (("s", scope_index, branch), None, scope_index, branch,
-                 None, frozenset(), None)
+                 None, frozenset())
             )
     return scope_table, seeds
+
+
+def _merge_branches(
+    entry_name: str, outcomes: Iterable[Tuple[int, ExhaustiveResult, set]]
+) -> ExhaustiveResult:
+    """Fold one scope's per-worker session results into one result.
+
+    Deterministic: sessions are combined in worker order, the
+    distinct-configuration count is the size of the union of the
+    workers' fingerprint sets (a configuration reachable in two subtrees
+    counts once, exactly as serial deduplication would), additive
+    exploration counters are summed and wall times are ``max``-ed
+    (workers run concurrently).
+    """
+    merged = ExhaustiveResult(entry_name)
+    merged.stats = ExploreStats()
+    check_stats = CheckStats()
+    saw_check_stats = False
+    fingerprints: set = set()
+    for _, result, branch_fps in sorted(outcomes, key=lambda item: item[0]):
+        fingerprints |= branch_fps
+        if not result.ok:
+            merged.ok = False
+        for failure in result.failures:
+            if len(merged.failures) < 10:
+                merged.failures.append(failure)
+        stats = result.stats
+        if stats is not None:
+            merged.stats.states_visited += stats.states_visited
+            merged.stats.states_deduped += stats.states_deduped
+            merged.stats.branches_pruned += stats.branches_pruned
+            merged.stats.commute_checks += stats.commute_checks
+            merged.stats.snapshots += stats.snapshots
+            merged.stats.deepcopies += stats.deepcopies
+            merged.stats.peak_frontier = max(
+                merged.stats.peak_frontier, stats.peak_frontier
+            )
+            merged.stats.wall_time = max(
+                merged.stats.wall_time, stats.wall_time
+            )
+            merged.stats.capped |= stats.capped
+            merged.stats.symmetry_group = max(
+                merged.stats.symmetry_group, stats.symmetry_group
+            )
+            merged.stats.pinned_replicas = max(
+                merged.stats.pinned_replicas, stats.pinned_replicas
+            )
+            merged.stats.state_fp_cache_peak = max(
+                merged.stats.state_fp_cache_peak, stats.state_fp_cache_peak
+            )
+            merged.stats.steal_splits += stats.steal_splits
+            merged.stats.steal_spawned += stats.steal_spawned
+            merged.stats.dpor_races += stats.dpor_races
+            merged.stats.dpor_redundant_avoided += (
+                stats.dpor_redundant_avoided
+            )
+            merged.stats.dpor_full_expansions += stats.dpor_full_expansions
+            merged.stats.pstate_copied += stats.pstate_copied
+            merged.stats.pstate_shared += stats.pstate_shared
+        if result.fp_store is not None:
+            if merged.fp_store is None:
+                merged.fp_store = FPStoreStats()
+            merged.fp_store.merge(result.fp_store)
+        if result.check_stats is not None:
+            saw_check_stats = True
+            check_stats.checks += result.check_stats.checks
+            check_stats.verdict_hits += result.check_stats.verdict_hits
+            check_stats.unkeyed += result.check_stats.unkeyed
+            check_stats.frontier_hits += result.check_stats.frontier_hits
+            check_stats.frontier_misses += result.check_stats.frontier_misses
+            check_stats.frontier_unattached += (
+                result.check_stats.frontier_unattached
+            )
+            check_stats.frontier_nodes = max(
+                check_stats.frontier_nodes, result.check_stats.frontier_nodes
+            )
+            for cond, seconds in result.check_stats.cond_seconds.items():
+                check_stats.cond_seconds[cond] = (
+                    check_stats.cond_seconds.get(cond, 0.0) + seconds
+                )
+            for cond, count in result.check_stats.failed_conditions.items():
+                check_stats.failed_conditions[cond] = (
+                    check_stats.failed_conditions.get(cond, 0) + count
+                )
+    merged.configurations = len(fingerprints)
+    merged.stats.configurations = merged.configurations
+    if saw_check_stats:
+        merged.check_stats = check_stats
+    return merged
 
 
 def _verify_scopes_inline(
@@ -531,15 +632,20 @@ def verify_scopes_steal(
 ) -> Dict[str, ExhaustiveResult]:
     """Run many exhaustive scopes through one work-stealing pool.
 
-    Same contract as :func:`repro.proofs.parallel.verify_scopes_parallel`
-    — ``{entry.name: merged result}`` in input order, verdicts and
-    distinct-configuration counts identical to serial — plus:
+    ``scopes`` is a sequence of ``(entry, programs, max_gossips)`` triples
+    (``max_gossips`` ignored for op-based entries).  Returns
+    ``{entry.name: merged result}`` in input order, with verdicts and
+    distinct-configuration counts identical to serial.
 
+    * The pool has ``jobs`` workers, capped by cores (see
+      :func:`repro.proofs.parallel._worker_count`).  Under ``por="sleep"``
+      tasks split, so the seed count does not cap the pool; source-DPOR
+      tasks never split, so there it is capped by the seed count.  An
+      effective pool of one worker runs the serial algorithm inline.
     * ``max_configurations`` is honored exactly via the shared budget.
     * ``spill`` puts every worker's visited/expanded records behind a
       disk-spilling fingerprint store; ``fp_store=False`` turns digest
-      interning off entirely (raw-fingerprint sets, the static path's
-      representation).
+      interning off entirely (raw-fingerprint sets).
     * ``oversubscribe`` lifts the physical-core cap on the pool size.
     * ``stats_sink``, when a dict, receives the pool's
       :class:`StealStats` under ``"steal"`` (the bench harness reads the
@@ -559,13 +665,13 @@ def verify_scopes_steal(
       or without rendering.  Both are presentation only — no effect on
       results or deterministic metrics.
     """
-    from .parallel import _obs_envelope, default_jobs
-
     ins = instrumentation if instrumentation is not None \
         else NULL_INSTRUMENTATION
-    jobs = jobs or default_jobs()
-    workers = steal_workers(jobs, oversubscribe)
     scope_table, seeds = _seed_tasks(scopes, reduction, symmetry, cache, por)
+    workers = _worker_count(
+        jobs or default_jobs(), None if por == "sleep" else len(seeds),
+        oversubscribe,
+    )
     order: List[str] = []
     for entry, _, _ in scopes:
         if entry.name not in order:
@@ -690,8 +796,6 @@ def verify_scopes_steal(
         raise RuntimeError(
             "work-stealing exploration failed: " + "; ".join(errors)
         )
-
-    from .parallel import _merge_branches
 
     steal_stats = StealStats(
         workers=workers,

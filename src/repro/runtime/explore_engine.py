@@ -66,9 +66,7 @@ dedup hits, sleep-set prunes, peak DFS frontier, wall time) that
 
 import copy
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from hashlib import blake2b
 from typing import (
     Any,
     Callable,
@@ -83,7 +81,6 @@ from typing import (
 from ..core.errors import PreconditionViolation
 from ..obs.instrument import Instrumentation, NULL_INSTRUMENTATION
 from . import pstate
-from .fp_store import stable_encode
 from .state_system import StateBasedSystem
 from .symmetry import (
     SymmetryReducer,
@@ -113,11 +110,6 @@ Lid = Tuple[str, int]
 #: Shared empty sleep set — the overwhelmingly common child sleep in the
 #: source-DPOR loop, interned to skip per-step frozenset construction.
 _EMPTY_SLEEP: FrozenSet[Transition] = frozenset()
-
-#: Entry bound of the deferred-reversal dedup LRU (see
-#: :class:`_DigestLRU`): long steal sessions previously grew
-#: ``_deferred_seen`` without limit.
-_DEFERRED_SEEN_LIMIT = 1 << 14
 
 
 @dataclass
@@ -163,15 +155,9 @@ class ExploreStats:
     #: race required them — the interleavings sleep sets alone would
     #: still have explored.
     dpor_redundant_avoided: int = 0
-    #: Source-DPOR only: race reversals at stolen-prefix nodes, re-run
-    #: locally as deferred subtree tasks.
-    dpor_deferred: int = 0
     #: Source-DPOR only: frames conservatively re-expanded to the full
     #: enabled set (missing footprint or disabled race candidate).
     dpor_full_expansions: int = 0
-    #: Source-DPOR only: peak entry count of the deferred-reversal
-    #: dedup LRU (bounded; evictions cost re-runs, never coverage).
-    dpor_deferred_seen: int = 0
     #: Always 0: counters of a retired POR flavour, kept so readers of
     #: the stats schema (the benchmark harness) stay valid.
     dpor_wakeup_fallbacks: int = 0
@@ -208,9 +194,7 @@ class ExploreStats:
             "steal_spawned": self.steal_spawned,
             "dpor_races": self.dpor_races,
             "dpor_redundant_avoided": self.dpor_redundant_avoided,
-            "dpor_deferred": self.dpor_deferred,
             "dpor_full_expansions": self.dpor_full_expansions,
-            "dpor_deferred_seen": self.dpor_deferred_seen,
             "pstate_copied": self.pstate_copied,
             "pstate_shared": self.pstate_shared,
         }
@@ -218,39 +202,6 @@ class ExploreStats:
 
 class _SearchCapped(Exception):
     """Raised internally to stop the whole search at the exact cap."""
-
-
-class _DigestLRU:
-    """Bounded dedup of deferred race-reversal tasks.
-
-    Keys — ``(prefix, transition)`` pairs — are collapsed to 16-byte
-    :func:`~repro.runtime.fp_store.stable_encode` digests so a long
-    steal session holds a fixed 16 bytes per remembered task instead of
-    an unbounded set of transition tuples.  Eviction at the LRU bound
-    only costs a duplicate subtree task (deferred tasks are idempotent
-    under the merged fingerprint union), never coverage.
-    """
-
-    __slots__ = ("_entries", "_limit", "peak")
-
-    def __init__(self, limit: int = _DEFERRED_SEEN_LIMIT) -> None:
-        self._entries: OrderedDict = OrderedDict()
-        self._limit = limit
-        self.peak = 0
-
-    def seen(self, key: Any) -> bool:
-        """Record ``key``; True when it was already present."""
-        digest = blake2b(stable_encode(key), digest_size=16).digest()
-        entries = self._entries
-        if digest in entries:
-            entries.move_to_end(digest)
-            return True
-        entries[digest] = None
-        if len(entries) > self._limit:
-            entries.popitem(last=False)
-        elif len(entries) > self.peak:
-            self.peak = len(entries)
-        return False
 
 
 def _logical_ids(generation_order: Sequence) -> Dict[int, Lid]:
@@ -1135,12 +1086,9 @@ class _Frame:
 
     * ``"real"`` — a live node of this engine's DFS: reversals join the
       node's ``backtrack`` set and its candidate loop explores them.
-    * ``"defer"`` — a replayed prefix node of a stolen subtree task: the
-      node's sibling loop ran (or runs) on another worker, so reversals
-      become fresh subtree tasks on this engine's deferred queue.
-    * ``"ignore"`` — the root node of a static root-branch split: every
-      root transition is seeded as its own branch task, so any reversal
-      is already covered.
+    * ``"ignore"`` — the root node of a root-branch seed: every root
+      transition is seeded as its own branch task, so any reversal is
+      already covered.
     """
 
     __slots__ = (
@@ -1304,12 +1252,21 @@ class _Engine:
         self.stats = stats
         #: Optional :class:`~repro.runtime.fp_store.FingerprintStore`:
         #: when set, the visited/expanded records are keyed by fixed-width
-        #: digests instead of raw fingerprint tuples.
+        #: digests instead of raw fingerprint tuples, and live in the
+        #: store's (possibly spill-backed) containers unless the caller
+        #: provides its own.
         self.fp_store = fp_store
+        if fp_store is not None:
+            if fingerprints is None:
+                fingerprints = fp_store.visited_set()
+            if expanded is None:
+                expanded = fp_store.expanded_map()
         #: Optional work-stealing hook (``should_split(depth)`` /
-        #: ``offload(path, sleep)``); when set, the engine tracks the
-        #: transition path from the root so unexplored siblings can be
-        #: handed off as replayable subtree tasks.
+        #: ``offload(path, sleep)``), honored by the sleep-set DFS only;
+        #: when set, the engine tracks the transition path from the root
+        #: so unexplored siblings can be handed off as replayable subtree
+        #: tasks.  Source-DPOR never splits: its race reversals must land
+        #: on ancestor frames a stolen subtree cannot see.
         self.scheduler = scheduler
         #: Optional cross-worker configuration budget (``claim(fp)`` /
         #: ``exhausted()``) implementing an exact shared
@@ -1318,8 +1275,8 @@ class _Engine:
         self._path: List[Transition] = []
         #: Fingerprints of configurations already reported to ``visit``.
         #: A caller-provided set is used in place (and thus observable
-        #: afterwards) — the parallel frontier-split merge unions the
-        #: per-branch sets to count distinct configurations globally.
+        #: afterwards) — the work-stealing merge unions the per-worker
+        #: sets to count distinct configurations globally.
         self._visited_fps: Any = (
             fingerprints if fingerprints is not None else set()
         )
@@ -1354,10 +1311,6 @@ class _Engine:
         self._frames: List[_Frame] = []
         #: Happens-before predecessor bitmask per path event.
         self._hb: List[int] = []
-        #: Race reversals landing on defer-mode (stolen-prefix) frames,
-        #: run locally as (path, sleep, frame-sleeps) subtree tasks.
-        self._deferred: List[Tuple] = []
-        self._deferred_seen = _DigestLRU()
         if self.por == "source":
             domain.hb_reset()
         if heartbeat is not None:
@@ -1383,30 +1336,20 @@ class _Engine:
         root_branch: Optional[int] = None,
         path: Optional[Sequence[Transition]] = None,
         sleep: FrozenSet[Transition] = frozenset(),
-        frames: Optional[Sequence[FrozenSet[Transition]]] = None,
     ) -> ExploreStats:
         """Explore the whole tree, one root branch, or a stolen subtree.
 
-        ``path`` replays a transition sequence from the root and runs the
-        DFS below it under ``sleep`` — the work-stealing task unit.
-        ``frames`` (source-DPOR tasks only) carries the per-prefix-node
-        sleep sets, so race reversals landing on the replayed prefix can
-        be re-run with the right schedule filters.  Wall time
-        *accumulates* so an engine reused across stolen tasks reports its
-        total exploration time.
-
-        Source-DPOR reversals that land on replayed prefix nodes are
-        queued and drained here, after the primary unit: they never go
-        back through the work-stealing queue (the ack protocol only
-        accounts for victim-offloaded tasks), and exploring them locally
-        at worst duplicates work another worker also covers — the merged
-        fingerprint union is unchanged.
+        ``root_branch`` is a work-stealing seed task (see
+        :meth:`_run_root_branch`); ``path`` replays a transition sequence
+        from the root and runs the sleep-set DFS below it under ``sleep``
+        — the split task unit.  Wall time *accumulates* so an engine
+        reused across tasks reports its total exploration time.
         """
         started = time.perf_counter()
         pstate_mark = pstate.STATS.snapshot()
         try:
             if path is not None:
-                self._run_path(path, sleep, frames)
+                self._run_path(path, sleep)
             elif root_branch is None:
                 if self.por == "source":
                     self._run_source_root()
@@ -1414,11 +1357,6 @@ class _Engine:
                     self._dfs(frozenset(), 1)
             else:
                 self._run_root_branch(root_branch)
-            while self._deferred:
-                task_path, task_sleep, task_frames = self._deferred.pop()
-                self._run_path(
-                    task_path, task_sleep, task_frames, race_task=True
-                )
         except _SearchCapped:
             self.stats.capped = True
             if self.journal is not None:
@@ -1429,8 +1367,6 @@ class _Engine:
         copied, shared = pstate.STATS.snapshot()
         self.stats.pstate_copied += copied - pstate_mark[0]
         self.stats.pstate_shared += shared - pstate_mark[1]
-        if self._deferred_seen.peak > self.stats.dpor_deferred_seen:
-            self.stats.dpor_deferred_seen = self._deferred_seen.peak
         self.stats.wall_time += time.perf_counter() - started
         return self.stats
 
@@ -1449,61 +1385,27 @@ class _Engine:
             self._reset_stacks()
 
     def _run_path(
-        self,
-        path: Sequence[Transition],
-        sleep: FrozenSet[Transition],
-        frames: Optional[Sequence[FrozenSet[Transition]]] = None,
-        race_task: bool = False,
+        self, path: Sequence[Transition], sleep: FrozenSet[Transition]
     ) -> None:
-        """Replay ``path`` from the root, then DFS under ``sleep``.
+        """Replay ``path`` from the root, then run the sleep-set DFS under
+        ``sleep`` — the unit a splitting worker offloads.
 
         The path was produced by a worker that successfully applied every
         transition on it, and apply() failures are deterministic in the
         configuration, so a replay failure means the task is corrupt —
-        raise rather than silently dropping a subtree.  The one exception
-        is the *last* transition of a deferred race task (``race_task``):
-        a race candidate is enabled structurally but may still fail its
-        precondition at the branch point, in which case the reversal is
-        covered by fully re-expanding that node instead.
+        raise rather than silently dropping a subtree.
         """
         domain = self.domain
         token = domain.push()
         try:
-            if self.por == "source":
-                for index, transition in enumerate(path):
-                    frame_sleep = (
-                        frames[index]
-                        if frames is not None and index < len(frames)
-                        else frozenset()
+            for transition in path:
+                if not domain.apply(transition):
+                    raise RuntimeError(
+                        "stolen subtree failed to replay at "
+                        f"{transition!r}"
                     )
-                    self._frames.append(_Frame(
-                        "defer", domain.transitions(), frame_sleep,
-                    ))
-                    if not domain.apply(transition):
-                        if race_task and index == len(path) - 1:
-                            self._full_expand_defer(index)
-                            return
-                        raise RuntimeError(
-                            "stolen subtree failed to replay at "
-                            f"{transition!r}"
-                        )
-                    # Record happens-before only: races *among* prefix
-                    # events were processed by the victim when it first
-                    # executed them.
-                    _, hb_mask = self._analyze_event(transition)
-                    domain.hb_note(transition, len(self._path))
-                    self._path.append(transition)
-                    self._hb.append(hb_mask)
-                self._dfs_source(frozenset(sleep), len(path) + 1)
-            else:
-                for transition in path:
-                    if not domain.apply(transition):
-                        raise RuntimeError(
-                            "stolen subtree failed to replay at "
-                            f"{transition!r}"
-                        )
-                self._path = list(path)
-                self._dfs(frozenset(sleep), len(path) + 1)
+            self._path = list(path)
+            self._dfs(frozenset(sleep), len(path) + 1)
         finally:
             # Restore the root even when capped mid-subtree, so a worker
             # session stays reusable for its next task.
@@ -1513,18 +1415,18 @@ class _Engine:
     def _run_root_branch(self, branch: int) -> None:
         """Explore only the subtree under the ``branch``-th root transition.
 
-        This is the frontier-split unit of the parallel verifier: worker
-        ``i`` reconstructs exactly the state the serial DFS has when it
+        This is the seed task of the work-stealing pool: a worker
+        reconstructs exactly the state the serial DFS has when it
         descends into root child ``i`` — the earlier root transitions that
         ran (and were fully explored) become sleep-set seeds when
         independent of this branch's transition — and then runs the
         ordinary DFS below it.  Branch 0 additionally owns the root
-        configuration itself, so across workers it is reported once.
+        configuration itself, so across seeds it is reported once.
         A ``branch`` beyond the root's out-degree is a no-op.
 
         Under source-DPOR the root node gets an ``"ignore"`` frame: every
-        root transition is statically seeded as a branch of its own (the
-        orbit filter only drops transitions covered by a symmetric
+        root transition is seeded as a branch of its own (the orbit
+        filter only drops transitions covered by a symmetric
         representative), so the full root expansion subsumes any source
         set a race reversal could request.
         """
@@ -1734,10 +1636,7 @@ class _Engine:
             recorded_sets.append(self._intern_sleep(sleep_key))
         frame = _Frame("real", transitions, sleep)
         self._frames.append(frame)
-        scheduler = self.scheduler
         token = domain.push()
-        explored_locally = False
-        did_split = False
         try:
             for transition in transitions:
                 if transition not in sleep:
@@ -1784,30 +1683,6 @@ class _Engine:
                     )
                 else:
                     child_sleep = _EMPTY_SLEEP
-                if (
-                    scheduler is not None
-                    and explored_locally
-                    and scheduler.should_split(depth)
-                ):
-                    if domain.apply(transition):
-                        domain.pop(token)
-                        scheduler.offload(
-                            tuple(self._path) + (transition,),
-                            child_sleep,
-                            tuple(f.sleep for f in self._frames),
-                        )
-                        stats.steal_spawned += 1
-                        if self.journal is not None:
-                            self.journal.record(
-                                "steal.split", depth=depth,
-                                path_len=len(self._path) + 1,
-                            )
-                        if not did_split:
-                            did_split = True
-                            stats.steal_splits += 1
-                        frame.done.append(transition)
-                        frame.progressed = True
-                    continue
                 if not domain.apply(transition):
                     if transition in frame.race_added:
                         # A race demanded this reversal but the
@@ -1823,7 +1698,6 @@ class _Engine:
                 domain.pop(token)
                 frame.done.append(transition)
                 frame.progressed = True
-                explored_locally = True
         finally:
             self._frames.pop()
         for transition in transitions:
@@ -1871,25 +1745,13 @@ class _Engine:
         self._hb.append(hb_mask)
 
     @staticmethod
-    def _initial_covered(
-        w: Transition,
-        sleep: FrozenSet[Transition],
-        real: bool,
-        backtrack: Dict[Transition, Any],
-        tried: set,
-        taken: Optional[Transition],
-    ) -> bool:
+    def _initial_covered(w: Transition, frame: _Frame) -> bool:
         """The source-set condition for one initial ``w``, shared by the
         ``path[m]`` and trailing-``transition`` arms of the race walk: a
         slept initial means the branch that slept it covers the
         reversal; a scheduled/run initial means this node already
-        explores it; on a defer frame the prefix transition itself is
-        the schedule the stealing victim runs."""
-        if w in sleep:
-            return True
-        if real:
-            return w in backtrack or w in tried
-        return w == taken
+        explores it."""
+        return w in frame.sleep or w in frame.backtrack or w in frame.tried
 
     def _race_plan(
         self, j: int, k: int, transition: Transition, hb_mask: int
@@ -1903,13 +1765,7 @@ class _Engine:
         profile = self.profile
         start = time.perf_counter() if profile is not None else 0.0
         frame = self._frames[j]
-        real = frame.mode == "real"
-        # On a "defer" frame the sibling loop belongs to the stealing
-        # victim, so reversals become local subtree tasks instead.
-        taken = None if real else self._path[j]
         path, hb = self._path, self._hb
-        sleep = frame.sleep
-        backtrack, tried = frame.backtrack, frame.tried
         first: Optional[Transition] = None
         covered = False
         v_mask = 0
@@ -1919,18 +1775,14 @@ class _Engine:
                 continue  # depends on path[j]: not part of v
             if not (hbm & v_mask):
                 w = path[m]
-                if self._initial_covered(
-                    w, sleep, real, backtrack, tried, taken
-                ):
+                if self._initial_covered(w, frame):
                     covered = True
                     break
                 if first is None:
                     first = w
             v_mask |= 1 << m
         if not covered and not (hb_mask & v_mask):
-            if self._initial_covered(
-                transition, sleep, real, backtrack, tried, taken
-            ):
+            if self._initial_covered(transition, frame):
                 covered = True
             elif first is None:
                 first = transition
@@ -1947,9 +1799,8 @@ class _Engine:
         :meth:`_race_plan` walks the initials of the reversal sequence
         ``v·t`` and short-circuits when one already covers it, which in
         the common case is the immediately following event.  Otherwise
-        the first initial is scheduled — added to the backtrack set of a
-        real frame, queued as a subtree task for a defer frame.  A
-        demanded initial that is not enabled at frame ``j`` (only
+        the first initial is scheduled — added to the frame's backtrack
+        set.  A demanded initial that is not enabled at frame ``j`` (only
         possible via :meth:`_replay_residual`'s positional
         over-approximation) degrades the frame to the full sleep-set
         schedule.
@@ -1958,22 +1809,15 @@ class _Engine:
         if first is None:
             return
         frame = self._frames[j]
-        real = frame.mode == "real"
         if self.journal is not None:
             self.journal.record(
                 "dpor.reversal", frame=j, depth=k, mode=frame.mode,
             )
         if not frame.is_enabled(first):
-            if real:
-                self._full_expand(frame)
-            else:
-                self._full_expand_defer(j, taken=self._path[j])
+            self._full_expand(frame)
             return
-        if real:
-            frame.backtrack[first] = None
-            frame.race_added.add(first)
-        else:
-            self._defer(j, first)
+        frame.backtrack[first] = None
+        frame.race_added.add(first)
 
     def _full_expand(self, frame: _Frame) -> None:
         """Degrade a frame to the sleep-set schedule (every non-slept
@@ -1989,32 +1833,6 @@ class _Engine:
                 # Deliberately not race_added: if a fallback candidate
                 # fails to apply it is skipped, as in the sleep engine.
                 frame.backtrack[transition] = None
-
-    def _full_expand_defer(
-        self, j: int, taken: Optional[Transition] = None
-    ) -> None:
-        """Defer-frame analogue of :meth:`_full_expand`: enqueue every
-        non-slept enabled transition at prefix node ``j`` as a subtree
-        task (minus ``taken``, whose subtree the victim explored)."""
-        self.stats.dpor_full_expansions += 1
-        frame = self._frames[j]
-        for transition in frame.enabled:
-            if transition not in frame.sleep and transition != taken:
-                self._defer(j, transition)
-
-    def _defer(self, j: int, w: Transition) -> None:
-        """Queue the subtree task ``path[:j] + (w,)`` (deduplicated)."""
-        prefix = tuple(self._path[:j])
-        if self._deferred_seen.seen((prefix, w)):
-            return
-        domain = self.domain
-        frame = self._frames[j]
-        task_sleep = frozenset(
-            s for s in frame.sleep if domain.independent(s, w)
-        )
-        frame_sleeps = tuple(f.sleep for f in self._frames[:j + 1])
-        self._deferred.append((prefix + (w,), task_sleep, frame_sleeps))
-        self.stats.dpor_deferred += 1
 
     def _replay_residual(self) -> None:
         """Re-run race detection for a dedup-cut subtree.
@@ -2122,12 +1940,9 @@ def explore_op_programs(
     reduction: bool = True,
     dedup: bool = True,
     stats: Optional[ExploreStats] = None,
-    root_branch: Optional[int] = None,
-    fingerprints: Optional[set] = None,
     instrumentation: Optional[Instrumentation] = None,
     symmetry: bool = False,
     fp_store: Optional[Any] = None,
-    expanded: Optional[Dict] = None,
     por: str = "sleep",
     heartbeat: Optional[Any] = None,
 ) -> int:
@@ -2146,11 +1961,9 @@ def explore_op_programs(
     permutation (see :mod:`repro.runtime.symmetry`): ``visit`` then fires
     once per orbit and ``max_configurations`` caps the *orbit* count.
     ``stats`` may be a caller-provided :class:`ExploreStats` to fill in.
-
-    ``root_branch=i`` explores only the subtree under the i-th initial
-    transition (the frontier-split unit of ``repro.proofs.parallel``);
-    ``fingerprints`` may be a caller-provided set used as the visited-
-    configuration record, so branch workers' sets can be unioned.
+    ``fp_store`` (a :class:`~repro.runtime.fp_store.FingerprintStore`)
+    keys the visited/expanded records by its digests, spill-backed when
+    the store is.
 
     ``instrumentation`` wraps the run in an ``explore.op`` span and folds
     the final :class:`ExploreStats` into metrics; the DFS hot path is
@@ -2164,14 +1977,12 @@ def explore_op_programs(
         symmetry=symmetry,
     )
     with ins.span("explore.op", replicas=len(programs),
-                  root_branch=root_branch, symmetry=symmetry,
-                  por=por) as span:
+                  symmetry=symmetry, por=por) as span:
         _Engine(
             domain, visit, max_configurations, dedup, stats,
-            fingerprints=fingerprints, expanded=expanded,
             fp_store=fp_store, por=por,
             profile=ins.profile, journal=ins.journal, heartbeat=heartbeat,
-        ).run(root_branch)
+        ).run()
         span.set(configurations=stats.configurations,
                  states_visited=stats.states_visited)
     if ins.enabled:
@@ -2188,12 +1999,9 @@ def explore_state_programs(
     reduction: bool = True,
     dedup: bool = True,
     stats: Optional[ExploreStats] = None,
-    root_branch: Optional[int] = None,
-    fingerprints: Optional[set] = None,
     instrumentation: Optional[Instrumentation] = None,
     symmetry: bool = False,
     fp_store: Optional[Any] = None,
-    expanded: Optional[Dict] = None,
     por: str = "sleep",
     heartbeat: Optional[Any] = None,
 ) -> int:
@@ -2212,14 +2020,13 @@ def explore_state_programs(
         symmetry=symmetry,
     )
     with ins.span("explore.state", replicas=len(programs),
-                  max_gossips=max_gossips, root_branch=root_branch,
-                  symmetry=symmetry, por=por) as span:
+                  max_gossips=max_gossips, symmetry=symmetry,
+                  por=por) as span:
         _Engine(
             domain, visit, max_configurations, dedup, stats,
-            fingerprints=fingerprints, expanded=expanded,
             fp_store=fp_store, por=por,
             profile=ins.profile, journal=ins.journal, heartbeat=heartbeat,
-        ).run(root_branch)
+        ).run()
         span.set(configurations=stats.configurations,
                  states_visited=stats.states_visited)
     if ins.enabled:

@@ -4,7 +4,7 @@ Source-DPOR prunes interleavings whose race reversals are already
 covered; the contract is that the pruning is invisible in the results —
 distinct-configuration counts, verdicts, and failure lists stay
 bit-for-bit identical with the classic sleep-set explorer on every
-registry entry, serially and through both parallel front doors, with
+registry entry, serially and through the work-stealing pool, with
 replica symmetry on and off.  A registry-level pin of the
 ``snapshot_safe=False`` deepcopy fallback rides along: a CRDT that
 mutates its state in place must bypass persistent snapshots and still
@@ -28,7 +28,7 @@ from repro.proofs.exhaustive import (
     exhaustive_verify_state,
     standard_programs,
 )
-from repro.proofs.parallel import standard_scopes, verify_scopes_parallel
+from repro.proofs.parallel import standard_scopes
 from repro.proofs.registry import ALL_ENTRIES
 from repro.proofs.steal import verify_scopes_steal
 
@@ -131,7 +131,7 @@ class TestDefaultPorHashSeed:
 
 
 class TestParallelDifferential:
-    """Both parallel front doors agree with the serial sleep oracle."""
+    """The work-stealing pool agrees with the serial sleep oracle."""
 
     @pytest.fixture(scope="class")
     def oracle(self):
@@ -155,16 +155,6 @@ class TestParallelDifferential:
                 else _serial(entry, "sleep", symmetry)
             )
             _assert_equal(merged[entry.name], expected,
-                          f"{entry.name}/{por}")
-
-    @pytest.mark.parametrize("por", DPOR_FLAVORS)
-    def test_static_pool_matches_serial_sleep(self, oracle, por):
-        scopes = standard_scopes(max_gossips=MAX_GOSSIPS)
-        merged = verify_scopes_parallel(
-            scopes, jobs=2, steal=False, oversubscribe=True, por=por
-        )
-        for entry, _, _ in scopes:
-            _assert_equal(merged[entry.name], oracle[entry.name],
                           f"{entry.name}/{por}")
 
 

@@ -5,7 +5,7 @@ The metrics layer splits instruments into two contracts
 verification outcome and must be bit-for-bit identical between a serial
 run and any ``--jobs N`` run — mirroring the verdict-equality suite in
 ``test_parallel.py`` — while *work* instruments describe machinery cost
-and may exceed serial totals under frontier splitting (workers re-explore
+and may exceed serial totals in the pool (workers re-explore
 subtree-shared states).  This suite pins both directions: equality for
 the deterministic section, and ≥-serial sanity for the work section.
 """
@@ -17,10 +17,10 @@ from repro.proofs.exhaustive import (
     exhaustive_verify,
     exhaustive_verify_state,
 )
-from repro.proofs.parallel import standard_scopes, verify_scopes_parallel
-from repro.proofs.report import verify_entry
-from repro.proofs.parallel import verify_entries_parallel
+from repro.proofs.parallel import standard_scopes, verify_entries_parallel
 from repro.proofs.registry import ALL_ENTRIES
+from repro.proofs.report import verify_entry
+from repro.proofs.steal import verify_scopes_steal
 
 SCOPES = standard_scopes()
 JOBS = 4
@@ -46,32 +46,32 @@ def test_entry_deterministic_totals_match(scope):
     """Every registry entry: serial ≡ --jobs 4 deterministic counters."""
     serial = _serial_totals([scope])
     parallel = Instrumentation.on()
-    verify_scopes_parallel([scope], jobs=JOBS, instrumentation=parallel,
-                           oversubscribe=True)
+    verify_scopes_steal([scope], jobs=JOBS, instrumentation=parallel,
+                        oversubscribe=True)
     assert deterministic_totals(parallel.metrics.snapshot()) \
         == deterministic_totals(serial.metrics.snapshot())
 
 
 def test_suite_deterministic_totals_match_whole_tree_path():
-    """All scopes at once (≥ jobs ⇒ whole-tree tasks): still identical."""
+    """All scopes through one pool: still identical."""
     serial = _serial_totals(SCOPES)
     parallel = Instrumentation.on()
-    verify_scopes_parallel(SCOPES, jobs=2, instrumentation=parallel,
-                           oversubscribe=True)
+    verify_scopes_steal(SCOPES, jobs=2, instrumentation=parallel,
+                        oversubscribe=True)
     assert deterministic_totals(parallel.metrics.snapshot()) \
         == deterministic_totals(serial.metrics.snapshot())
 
 
 def test_work_counters_at_least_serial():
-    """Frontier splitting may re-explore states but never skips work."""
+    """The pool may re-explore states but never skips work."""
     scope = next(
         (entry, programs, gossips)
         for entry, programs, gossips in SCOPES if entry.name == "OR-Set"
     )
     serial = _serial_totals([scope])
     parallel = Instrumentation.on()
-    verify_scopes_parallel([scope], jobs=JOBS, instrumentation=parallel,
-                           oversubscribe=True)
+    verify_scopes_steal([scope], jobs=JOBS, instrumentation=parallel,
+                        oversubscribe=True)
     serial_instruments = serial.metrics.snapshot()["instruments"]
     parallel_instruments = parallel.metrics.snapshot()["instruments"]
     for key in ("explore.states_visited{kind=op}",
@@ -80,8 +80,8 @@ def test_work_counters_at_least_serial():
             >= serial_instruments[key]["value"]
 
 
-@pytest.mark.parametrize("steal", [False, True], ids=["static", "steal"])
-def test_explore_label_set_matches_serial(steal):
+@pytest.mark.parametrize("por", ["sleep", "source"])
+def test_explore_label_set_matches_serial(por):
     """Pool runs emit ``explore.*`` work counters under the serial label
     set, so every serial key exists in a pool artifact too."""
     scope = next(
@@ -90,8 +90,8 @@ def test_explore_label_set_matches_serial(steal):
     )
     serial = _serial_totals([scope])
     pool = Instrumentation.on()
-    verify_scopes_parallel([scope], jobs=JOBS, instrumentation=pool,
-                           steal=steal, oversubscribe=True)
+    verify_scopes_steal([scope], jobs=JOBS, instrumentation=pool,
+                        por=por, oversubscribe=True)
 
     def explore_keys(ins):
         return {

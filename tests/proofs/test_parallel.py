@@ -1,15 +1,17 @@
-"""The process-parallel verification fan-out (:mod:`repro.proofs.parallel`).
+"""Process-parallel verification (:mod:`repro.proofs.parallel` and the
+work-stealing pool of :mod:`repro.proofs.steal`).
 
 The acceptance bar for the parallel pipeline is *bit-for-bit agreement*
 with the serial checkers: same verdict and same distinct-configuration
-count for every registry entry, on both sharding axes (whole-tree tasks
-and frontier-split root branches).
+count for every registry entry, whether a run carries many scopes or
+one scope fanned out over its root-branch seeds.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.obs import Instrumentation
 from repro.proofs.exhaustive import (
     exhaustive_verify,
     exhaustive_verify_state,
@@ -17,13 +19,17 @@ from repro.proofs.exhaustive import (
 )
 from repro.proofs.parallel import (
     _worker_count,
-    exhaustive_verify_parallel,
     standard_scopes,
     verify_entries_parallel,
-    verify_scopes_parallel,
 )
 from repro.proofs.registry import ALL_ENTRIES, entry_by_name
 from repro.proofs.report import verify_entry
+from repro.proofs.steal import (
+    _root_transitions,
+    _seed_tasks,
+    exhaustive_verify_steal,
+    verify_scopes_steal,
+)
 
 
 def _serial(entry, programs, max_gossips):
@@ -39,7 +45,7 @@ class TestScopesParallel:
         # the serial distinct-configuration count.
         scopes = standard_scopes()
         assert scopes, "standard scope suite must not be empty"
-        parallel = verify_scopes_parallel(scopes, jobs=2, oversubscribe=True)
+        parallel = verify_scopes_steal(scopes, jobs=2, oversubscribe=True)
         assert list(parallel) == [entry.name for entry, _, _ in scopes]
         for entry, programs, max_gossips in scopes:
             serial = _serial(entry, programs, max_gossips)
@@ -48,12 +54,12 @@ class TestScopesParallel:
             assert merged.configurations == serial.configurations, entry.name
 
     def test_few_scopes_frontier_split_path(self):
-        # One scope, four jobs: the adaptive granularity must switch to
-        # frontier-split shards — and still merge to the serial answer.
+        # One scope, four jobs: the pool fans the scope out over its
+        # root-branch seeds — and still merges to the serial answer.
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
         serial = exhaustive_verify(entry, programs)
-        merged = verify_scopes_parallel(
+        merged = verify_scopes_steal(
             [(entry, programs, None)], jobs=4, oversubscribe=True
         )
         assert merged[entry.name].ok == serial.ok
@@ -66,7 +72,7 @@ class TestFrontierSplit:
         entry = entry_by_name(name)
         programs = standard_programs(entry)
         serial = exhaustive_verify(entry, programs)
-        split = exhaustive_verify_parallel(
+        split = exhaustive_verify_steal(
             entry, programs, jobs=3, oversubscribe=True
         )
         assert split.ok == serial.ok
@@ -76,7 +82,7 @@ class TestFrontierSplit:
         entry = entry_by_name("G-Counter")
         programs = standard_programs(entry)
         serial = exhaustive_verify_state(entry, programs, max_gossips=2)
-        split = exhaustive_verify_parallel(
+        split = exhaustive_verify_steal(
             entry, programs, jobs=3, max_gossips=2, oversubscribe=True
         )
         assert split.ok == serial.ok
@@ -84,13 +90,19 @@ class TestFrontierSplit:
 
 
 class TestEntriesParallel:
-    def test_matches_serial_randomized_harness(self):
+    def test_matches_serial_randomized_harness(self, monkeypatch):
+        # Two cores as far as the pool can tell, so a 1-core host still
+        # runs a real two-process pool instead of collapsing inline.
+        monkeypatch.setattr("repro.proofs.parallel.os.cpu_count", lambda: 2)
         entries = ALL_ENTRIES[:4]
         serial = [verify_entry(e, executions=3, operations=5) for e in entries]
+        ins = Instrumentation.on()
         parallel = verify_entries_parallel(
-            entries, executions=3, operations=5, jobs=2
+            entries, executions=3, operations=5, jobs=2, instrumentation=ins
         )
         assert parallel == serial  # dataclass equality: every field
+        instruments = ins.metrics.snapshot()["instruments"]
+        assert instruments["parallel.workers"]["value"] == 2
 
 
 class TestGuards:
@@ -98,7 +110,7 @@ class TestGuards:
         base = entry_by_name("Counter")
         rogue = dataclasses.replace(base, name="not-in-registry")
         with pytest.raises(ValueError, match="not in the registry"):
-            exhaustive_verify_parallel(rogue, standard_programs(base), jobs=2)
+            exhaustive_verify_steal(rogue, standard_programs(base), jobs=2)
 
     def test_worker_count_caps(self):
         assert _worker_count(1, 10) == 1
@@ -106,6 +118,7 @@ class TestGuards:
         assert _worker_count(4, 0) == 1  # floor of one
         import os
         assert _worker_count(64, 64) <= (os.cpu_count() or 64)
+        assert _worker_count(64, None) <= (os.cpu_count() or 64)
 
     def test_worker_count_clamp_matrix(self, monkeypatch):
         monkeypatch.setattr("repro.proofs.parallel.os.cpu_count", lambda: 4)
@@ -119,27 +132,33 @@ class TestGuards:
         assert _worker_count(8, 3, oversubscribe=True) == 3  # task cap stays
         assert _worker_count(2, 1) == 1
         assert _worker_count(0, 10) == 1  # degenerate jobs floor to one
+        # tasks=None: a splitting pool (work-stealing under sleep sets)
+        # makes its own tasks, so only jobs and cores cap it.
+        assert _worker_count(8, None) == 4
+        assert _worker_count(2, None) == 2
+        assert _worker_count(8, None, oversubscribe=True) == 8
+        assert _worker_count(0, None) == 1
         monkeypatch.setattr(
             "repro.proofs.parallel.os.cpu_count", lambda: None
         )
         assert _worker_count(8, 100) == 8  # unknown core count: trust jobs
+        assert _worker_count(8, None) == 8
 
     def test_single_worker_runs_inline(self, monkeypatch):
         # One effective worker (task count or core cap) must run in the
         # calling process — no executor, no fork/pickle overhead.
         def _boom(*args, **kwargs):
-            raise AssertionError("executor used for a 1-worker pool")
+            raise AssertionError("process pool used for a 1-worker pool")
 
         monkeypatch.setattr(
             "repro.proofs.parallel.ProcessPoolExecutor", _boom
         )
+        monkeypatch.setattr("repro.proofs.steal.mp.Process", _boom)
         monkeypatch.setattr("repro.proofs.parallel.os.cpu_count", lambda: 1)
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
         serial = exhaustive_verify(entry, programs)
-        inline = exhaustive_verify_parallel(
-            entry, programs, jobs=4, steal=False
-        )
+        inline = exhaustive_verify_steal(entry, programs, jobs=4)
         assert inline.configurations == serial.configurations
         results = verify_entries_parallel(
             ALL_ENTRIES[:2], executions=2, operations=4, jobs=1
@@ -151,8 +170,8 @@ class TestGuards:
 
 
 class TestSymmetricSharding:
-    """Orbit-aware frontier split: symmetric root branches are not fanned
-    out, and the merged result still equals the serial symmetric run."""
+    """Orbit-aware seeding: symmetric root branches are not fanned out,
+    and the merged result still equals the serial symmetric run."""
 
     SYM_PROGRAMS = {
         "r1": [("inc", ()), ("read", ())],
@@ -162,7 +181,7 @@ class TestSymmetricSharding:
     def test_op_based_matches_serial_with_symmetry(self):
         entry = entry_by_name("Counter")
         serial = exhaustive_verify(entry, self.SYM_PROGRAMS)
-        split = exhaustive_verify_parallel(
+        split = exhaustive_verify_steal(
             entry, self.SYM_PROGRAMS, jobs=4, oversubscribe=True
         )
         assert split.ok == serial.ok
@@ -174,7 +193,7 @@ class TestSymmetricSharding:
         serial = exhaustive_verify_state(
             entry, self.SYM_PROGRAMS, max_gossips=2
         )
-        split = exhaustive_verify_parallel(
+        split = exhaustive_verify_steal(
             entry, self.SYM_PROGRAMS, jobs=4, max_gossips=2,
             oversubscribe=True,
         )
@@ -184,24 +203,21 @@ class TestSymmetricSharding:
     def test_symmetry_override_off_matches_serial(self):
         entry = entry_by_name("Counter")
         serial = exhaustive_verify(entry, self.SYM_PROGRAMS, symmetry=False)
-        split = exhaustive_verify_parallel(
+        split = exhaustive_verify_steal(
             entry, self.SYM_PROGRAMS, jobs=4, symmetry=False,
             oversubscribe=True,
         )
         assert split.configurations == serial.configurations
-        assert split.configurations > exhaustive_verify_parallel(
+        assert split.configurations > exhaustive_verify_steal(
             entry, self.SYM_PROGRAMS, jobs=4, oversubscribe=True
         ).configurations
 
     def test_symmetric_branches_are_skipped(self):
-        from repro.proofs.parallel import _branch_tasks, _root_transitions
-
         entry = entry_by_name("Counter")
         transitions = _root_transitions("OB", self.SYM_PROGRAMS, None)
         assert len(transitions) == 2
-        tasks = _branch_tasks(entry, self.SYM_PROGRAMS, None, None, None,
-                              True)
-        assert [task[6] for task in tasks] == [0]  # second branch ≅ first
-        tasks_off = _branch_tasks(entry, self.SYM_PROGRAMS, None, None,
-                                  False, True)
-        assert [task[6] for task in tasks_off] == [0, 1]
+        scope = [(entry, self.SYM_PROGRAMS, None)]
+        _, seeds = _seed_tasks(scope, None, None, True)
+        assert [seed[3] for seed in seeds] == [0]  # second branch ≅ first
+        _, seeds_off = _seed_tasks(scope, None, False, True)
+        assert [seed[3] for seed in seeds_off] == [0, 1]

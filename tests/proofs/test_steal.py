@@ -7,6 +7,8 @@ the serial verdict and the serial distinct-configuration count.  The
 1-core fallback makes jobs>1 degenerate to the serial engine on small
 machines, so these tests force real worker processes with
 ``oversubscribe=True`` and force splitting with a huge pending target.
+Only sleep-set tasks split; source-DPOR tasks run whole root-branch
+seeds, so forced splitting must leave a source run unsplit and exact.
 """
 
 import os
@@ -19,16 +21,11 @@ from repro.proofs.exhaustive import (
     exhaustive_verify_state,
     standard_programs,
 )
-from repro.proofs.parallel import (
-    exhaustive_verify_parallel,
-    standard_scopes,
-    verify_scopes_parallel,
-)
+from repro.proofs.parallel import standard_scopes
 from repro.proofs.registry import entry_by_name
 from repro.proofs.steal import (
     StealStats,
     exhaustive_verify_steal,
-    steal_workers,
     verify_scopes_steal,
 )
 
@@ -40,6 +37,12 @@ SYM_PROGRAMS = {
     "r1": [("inc", ()), ("read", ())],
     "r2": [("inc", ()), ("read", ())],
 }
+
+PORS = ("sleep", "source")
+
+#: Every op-based standard scope, by entry name.
+OP_NAMES = [entry.name for entry, _, _ in standard_scopes()
+            if entry.kind == "OB"]
 
 
 def _serial(entry, programs, max_gossips):
@@ -68,23 +71,33 @@ class TestStealMatchesSerial:
             assert merged[entry.name].configurations \
                 == serial.configurations, entry.name
 
-    def test_forced_splitting_op_based(self):
-        entry = entry_by_name("Counter")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("name", OP_NAMES)
+    @pytest.mark.parametrize("por", PORS)
+    def test_forced_splitting_op_based(self, por, name, jobs):
+        # jobs=1 is a one-worker forced pool: the whole task DAG runs in
+        # one session, so any configuration a split loses stays lost.
+        entry = entry_by_name(name)
         programs = standard_programs(entry)
-        serial = exhaustive_verify(entry, programs)
+        serial = exhaustive_verify(entry, programs, por=por)
         sink = {}
         stolen = exhaustive_verify_steal(
-            entry, programs, jobs=2, stats_sink=sink, **FORCE
+            entry, programs, jobs=jobs, force_pool=True, stats_sink=sink,
+            por=por, **FORCE
         )
         stats = sink["steal"]
-        assert stats.stolen_tasks > 0  # splitting actually happened
         assert stats.tasks == stats.seed_tasks + stats.stolen_tasks
         assert len(stats.timeline) == stats.tasks
         assert set(stats.spawn_times) \
             == {t for t in (r[0] for r in stats.timeline) if t[0] == "w"}
         assert stolen.ok == serial.ok
         assert stolen.configurations == serial.configurations
-        assert stolen.stats.steal_spawned > 0
+        if por == "sleep":
+            assert stats.stolen_tasks > 0  # splitting actually happened
+            assert stolen.stats.steal_spawned > 0
+        else:
+            assert stats.stolen_tasks == 0  # source tasks never split
+            assert stolen.stats.steal_spawned == 0
 
     def test_forced_splitting_state_based(self):
         entry = entry_by_name("G-Counter")
@@ -98,19 +111,32 @@ class TestStealMatchesSerial:
         assert stolen.ok == serial.ok
         assert stolen.configurations == serial.configurations
 
-    def test_symmetry_on_and_off(self):
-        entry = entry_by_name("Counter")
-        on = exhaustive_verify(entry, SYM_PROGRAMS)
-        off = exhaustive_verify(entry, SYM_PROGRAMS, symmetry=False)
-        assert on.configurations < off.configurations
-        stolen_on = exhaustive_verify_steal(
-            entry, SYM_PROGRAMS, jobs=2, **FORCE
-        )
-        stolen_off = exhaustive_verify_steal(
-            entry, SYM_PROGRAMS, jobs=2, symmetry=False, **FORCE
-        )
-        assert stolen_on.configurations == on.configurations
-        assert stolen_off.configurations == off.configurations
+    @pytest.mark.parametrize("name", OP_NAMES)
+    @pytest.mark.parametrize("por", PORS)
+    def test_symmetry_on_and_off(self, por, name):
+        # Both replicas run the standard r1 program, so the scope is
+        # symmetric wherever the entry allows orbit dedup.
+        entry = entry_by_name(name)
+        program = standard_programs(entry)["r1"]
+        programs = {"r1": program, "r2": program}
+        on = exhaustive_verify(entry, programs, por=por)
+        off = exhaustive_verify(entry, programs, symmetry=False, por=por)
+        if entry.symmetry:
+            assert on.configurations < off.configurations
+        else:
+            assert on.configurations == off.configurations
+        for symmetry, serial in ((None, on), (False, off)):
+            sink = {}
+            stolen = exhaustive_verify_steal(
+                entry, programs, jobs=2, symmetry=symmetry, por=por,
+                stats_sink=sink, **FORCE
+            )
+            assert stolen.ok == serial.ok
+            assert stolen.configurations == serial.configurations
+            if por == "sleep":
+                assert sink["steal"].stolen_tasks > 0
+            else:
+                assert sink["steal"].stolen_tasks == 0
 
     def test_raw_fingerprints_without_store(self):
         # fp_store=False falls back to raw-fingerprint sets (the static
@@ -181,15 +207,29 @@ class TestSharedBudget:
 
 class TestPoolMechanics:
     def test_steal_workers_clamp(self, monkeypatch):
-        monkeypatch.setattr("repro.proofs.steal.os.cpu_count", lambda: 4)
-        assert steal_workers(1) == 1
-        assert steal_workers(0) == 1  # floor of one
-        assert steal_workers(8) == 4  # core cap
-        assert steal_workers(8, oversubscribe=True) == 8
-        monkeypatch.setattr(
-            "repro.proofs.steal.os.cpu_count", lambda: None
+        # The pool size: seeds do not cap a splitting (sleep) pool, but
+        # they cap a source pool, whose tasks never split — a one-seed
+        # source scope runs inline however many jobs are asked for.
+        def _boom(*args, **kwargs):
+            raise AssertionError("mp.Process used for a 1-seed source scope")
+
+        monkeypatch.setattr("repro.proofs.parallel.os.cpu_count", lambda: 4)
+        entry = entry_by_name("Counter")
+        serial = exhaustive_verify(entry, SYM_PROGRAMS)
+        sink = {}
+        result = exhaustive_verify_steal(
+            entry, SYM_PROGRAMS, jobs=2, stats_sink=sink, por="sleep"
         )
-        assert steal_workers(8) == 1
+        assert sink["steal"].seed_tasks == 1
+        assert sink["steal"].workers == 2
+        assert result.configurations == serial.configurations
+        monkeypatch.setattr("repro.proofs.steal.mp.Process", _boom)
+        result = exhaustive_verify_steal(
+            entry, SYM_PROGRAMS, jobs=8, stats_sink=sink, por="source"
+        )
+        assert sink["steal"].seed_tasks == 1
+        assert sink["steal"].workers == 1
+        assert result.configurations == serial.configurations
 
     def test_single_worker_runs_inline(self, monkeypatch):
         # One effective worker must not pay fork + pickle + queue costs:
@@ -197,7 +237,7 @@ class TestPoolMechanics:
         def _boom(*args, **kwargs):
             raise AssertionError("mp.Process used for a 1-worker pool")
 
-        monkeypatch.setattr("repro.proofs.steal.os.cpu_count", lambda: 1)
+        monkeypatch.setattr("repro.proofs.parallel.os.cpu_count", lambda: 1)
         monkeypatch.setattr("repro.proofs.steal.mp.Process", _boom)
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
@@ -239,7 +279,7 @@ class TestPoolMechanics:
 
 
 class TestDispatch:
-    """The parallel front door routes to stealing by default."""
+    """The parallel front door routes to the stealing pool."""
 
     def test_default_routes_to_steal(self, monkeypatch):
         sentinel = object()
@@ -254,55 +294,19 @@ class TestDispatch:
         )
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
-        assert exhaustive_verify_parallel(entry, programs, jobs=2) \
-            is sentinel
+        assert exhaustive_verify(entry, programs, jobs=2) is sentinel
         assert seen["jobs"] == 2
-        assert exhaustive_verify_parallel(
-            entry, programs, jobs=2, steal=True, spill="/tmp/x",
-            max_configurations=4,
+        assert exhaustive_verify(
+            entry, programs, jobs=2, spill="/tmp/x", max_configurations=4,
         ) is sentinel
         assert seen["spill"] == "/tmp/x"
         assert seen["max_configurations"] == 4
-
-    def test_steal_off_uses_static_path(self, monkeypatch):
-        def _fail(*args, **kwargs):
-            raise AssertionError("steal path used despite steal=False")
-
-        monkeypatch.setattr(
-            "repro.proofs.steal.exhaustive_verify_steal", _fail
-        )
-        entry = entry_by_name("Counter")
-        programs = standard_programs(entry)
-        serial = exhaustive_verify(entry, programs)
-        static = exhaustive_verify_parallel(
-            entry, programs, jobs=2, steal=False
-        )
-        assert static.configurations == serial.configurations
-
-    def test_static_path_rejects_budget_and_spill(self):
-        entry = entry_by_name("Counter")
-        programs = standard_programs(entry)
-        with pytest.raises(ValueError, match="work-stealing"):
-            exhaustive_verify_parallel(
-                entry, programs, jobs=2, steal=False, max_configurations=5
-            )
-        with pytest.raises(ValueError, match="work-stealing"):
-            exhaustive_verify_parallel(
-                entry, programs, jobs=2, steal=False, spill="/tmp/x"
-            )
-        with pytest.raises(ValueError, match="work-stealing"):
-            verify_scopes_parallel(
-                standard_scopes()[:1], jobs=2, steal=False,
-                max_configurations=5,
-            )
-
-    def test_scopes_front_door_steal_off_matches(self):
-        scopes = standard_scopes()[:2]
-        static = verify_scopes_parallel(scopes, jobs=2, steal=False)
-        for entry, programs, max_gossips in scopes:
-            serial = _serial(entry, programs, max_gossips)
-            assert static[entry.name].configurations \
-                == serial.configurations
+        state_entry = entry_by_name("G-Counter")
+        assert exhaustive_verify_state(
+            state_entry, standard_programs(state_entry), jobs=2,
+            max_gossips=1,
+        ) is sentinel
+        assert seen["max_gossips"] == 1
 
 
 class TestInstrumentation:

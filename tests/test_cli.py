@@ -204,7 +204,7 @@ class TestChaos:
 
 
 class TestStealCLI:
-    """The --steal/--no-steal/--spill flags and the stats digest."""
+    """The work-stealing pool (--jobs N), --spill and the stats digest."""
 
     def _configs(self, out):
         row = next(l for l in out.splitlines() if "Counter" in l)
@@ -213,12 +213,10 @@ class TestStealCLI:
     def test_steal_flags_match_serial(self, capsys):
         assert main(["exhaustive", "--scope", "counter"]) == 0
         serial = self._configs(capsys.readouterr().out)
-        assert main(["exhaustive", "--scope", "counter", "--jobs", "2",
-                     "--steal"]) == 0
-        assert self._configs(capsys.readouterr().out) == serial
-        assert main(["exhaustive", "--scope", "counter", "--jobs", "2",
-                     "--no-steal"]) == 0
-        assert self._configs(capsys.readouterr().out) == serial
+        for por in ("source", "sleep"):
+            assert main(["exhaustive", "--scope", "counter", "--jobs", "2",
+                         "--por", por]) == 0
+            assert self._configs(capsys.readouterr().out) == serial, por
 
     def test_spill_serial_round_trip(self, capsys, tmp_path):
         spill_dir = tmp_path / "spill"

@@ -27,7 +27,7 @@ from ..core.ralin import check_update_order
 from ..core.rewriting import QueryUpdateRewriting, rewrite_history
 from ..core.spec import SequentialSpec
 from ..crdts.base import OpBasedCRDT
-from ..runtime.schedule import Program, explore_op_programs
+from ..runtime.explore_engine import Program, explore_op_programs
 from ..runtime.system import OpBasedSystem
 
 

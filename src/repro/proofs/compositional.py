@@ -43,8 +43,7 @@ from ..runtime.composition import (
     combine_per_object,
     per_object_rewriting,
 )
-from ..runtime.explore_engine import ExploreStats
-from ..runtime.schedule import explore_op_programs
+from ..runtime.explore_engine import ExploreStats, explore_op_programs
 from ..runtime.system import OpBasedSystem
 from .exhaustive import ExhaustiveResult, exhaustive_verify, standard_programs
 from .registry import ALL_ENTRIES, CRDTEntry

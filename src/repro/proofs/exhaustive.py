@@ -27,13 +27,17 @@ from ..core.ralin import (
     timestamp_order_check,
 )
 from ..obs.instrument import Instrumentation, NULL_INSTRUMENTATION
-from ..runtime.explore_engine import ExploreStats
+from ..runtime.explore_engine import (
+    ExploreStats,
+    Program,
+    explore_op_programs,
+    explore_state_programs,
+)
 from ..runtime.explore_naive import (
     explore_op_programs_naive,
     explore_state_programs_naive,
 )
 from ..runtime.fp_store import FingerprintStore, FPStoreStats
-from ..runtime.schedule import Program, explore_op_programs
 from ..runtime.state_system import StateBasedSystem
 from ..runtime.system import OpBasedSystem
 from .registry import CRDTEntry
@@ -246,6 +250,69 @@ def exhaustive_verify(
             f"{entry.name} is state-based; exhaustive exploration covers "
             "op-based entries only"
         )
+    return _verify_scope(
+        entry, programs, None, max_configurations, engine, reduction,
+        symmetry, cache, jobs, instrumentation, spill, fp_store,
+        oversubscribe, por, heartbeat,
+    )
+
+
+def exhaustive_verify_state(
+    entry: CRDTEntry,
+    programs: Dict[str, Program],
+    max_gossips: int = 3,
+    max_configurations: Optional[int] = None,
+    engine: str = "fast",
+    reduction: Optional[bool] = None,
+    symmetry: Optional[bool] = None,
+    cache: bool = True,
+    jobs: int = 1,
+    instrumentation: Optional[Instrumentation] = None,
+    spill: Optional[str] = None,
+    fp_store: bool = False,
+    oversubscribe: bool = False,
+    por: str = "sleep",
+    heartbeat: Optional[object] = None,
+) -> ExhaustiveResult:
+    """Bounded exhaustive verification of a state-based entry.
+
+    Explores every interleaving of the programs with up to ``max_gossips``
+    gossip steps (see :mod:`repro.runtime.explore_engine`) and checks the
+    EO/TO candidate linearization plus convergence on each.  ``engine``,
+    ``reduction``, ``symmetry``, ``cache``, ``jobs``, ``spill``, ``por``
+    and ``instrumentation`` behave as in :func:`exhaustive_verify`.
+    """
+    if entry.kind != "SB":
+        raise ValueError(f"{entry.name} is op-based; use exhaustive_verify")
+    return _verify_scope(
+        entry, programs, max_gossips, max_configurations, engine, reduction,
+        symmetry, cache, jobs, instrumentation, spill, fp_store,
+        oversubscribe, por, heartbeat,
+    )
+
+
+def _verify_scope(
+    entry: CRDTEntry,
+    programs: Dict[str, Program],
+    max_gossips: Optional[int],
+    max_configurations: Optional[int],
+    engine: str,
+    reduction: Optional[bool],
+    symmetry: Optional[bool],
+    cache: bool,
+    jobs: int,
+    instrumentation: Optional[Instrumentation],
+    spill: Optional[str],
+    fp_store: bool,
+    oversubscribe: bool,
+    por: str,
+    heartbeat: Optional[object],
+) -> ExhaustiveResult:
+    """The body :func:`exhaustive_verify` and
+    :func:`exhaustive_verify_state` share once the entry's kind is
+    checked (parameters in the latter's order; ``max_gossips`` is None
+    for op-based entries): dispatch ``jobs > 1`` to the stealing pool,
+    else run one serial scope."""
     if engine not in ("fast", "naive"):
         raise ValueError(f"unknown engine {engine!r}: use 'fast' or 'naive'")
     ins = instrumentation if instrumentation is not None \
@@ -256,9 +323,10 @@ def exhaustive_verify(
         from .steal import exhaustive_verify_steal
 
         return exhaustive_verify_steal(
-            entry, programs, jobs=jobs, reduction=reduction,
-            symmetry=symmetry, cache=cache, instrumentation=ins,
-            spill=spill, max_configurations=max_configurations,
+            entry, programs, jobs=jobs, max_gossips=max_gossips,
+            reduction=reduction, symmetry=symmetry, cache=cache,
+            instrumentation=ins, spill=spill,
+            max_configurations=max_configurations,
             oversubscribe=oversubscribe, por=por,
         )
     result = ExhaustiveResult(entry.name)
@@ -266,20 +334,27 @@ def exhaustive_verify(
     store: Optional[FingerprintStore] = None
     if (spill is not None or fp_store) and engine == "fast":
         store = FingerprintStore(spill_dir=spill)
-    ins.journal_event("scope.start", entry=entry.name, family="OB")
+    ins.journal_event("scope.start", entry=entry.name, family=entry.kind)
     if heartbeat is not None:
         heartbeat.begin_task(entry.name)
     make_system = _system_factory(entry, programs, por)
+    if entry.kind == "OB":
+        gossip: Dict[str, int] = {}
+        explore, explore_naive = explore_op_programs, explore_op_programs_naive
+    else:
+        gossip = {"max_gossips": max_gossips}
+        explore = explore_state_programs
+        explore_naive = explore_state_programs_naive
 
-    with ins.span("exhaustive.scope", entry=entry.name, kind="OB"):
+    with ins.span("exhaustive.scope", entry=entry.name, kind=entry.kind):
         if engine == "naive":
-            result.configurations = explore_op_programs_naive(
+            result.configurations = explore_naive(
                 make_system, programs, visit,
-                max_configurations=max_configurations,
+                max_configurations=max_configurations, **gossip,
             )
         else:
             result.stats = ExploreStats()
-            result.configurations = explore_op_programs(
+            result.configurations = explore(
                 make_system, programs, visit,
                 max_configurations=max_configurations,
                 reduction=entry.reduction if reduction is None else reduction,
@@ -289,6 +364,7 @@ def exhaustive_verify(
                 fp_store=store,
                 por=por,
                 heartbeat=heartbeat,
+                **gossip,
             )
     _finish_scope(entry, result, store, ins, heartbeat)
     return result
@@ -323,86 +399,6 @@ def _finish_scope(
             "scope.end", entry=entry.name, ok=result.ok,
             configurations=result.configurations,
         )
-
-
-def exhaustive_verify_state(
-    entry: CRDTEntry,
-    programs: Dict[str, Program],
-    max_gossips: int = 3,
-    max_configurations: Optional[int] = None,
-    engine: str = "fast",
-    reduction: Optional[bool] = None,
-    symmetry: Optional[bool] = None,
-    cache: bool = True,
-    jobs: int = 1,
-    instrumentation: Optional[Instrumentation] = None,
-    spill: Optional[str] = None,
-    fp_store: bool = False,
-    oversubscribe: bool = False,
-    por: str = "sleep",
-    heartbeat: Optional[object] = None,
-) -> ExhaustiveResult:
-    """Bounded exhaustive verification of a state-based entry.
-
-    Explores every interleaving of the programs with up to ``max_gossips``
-    gossip steps (see :mod:`repro.runtime.explore_engine`) and checks the
-    EO/TO candidate linearization plus convergence on each.  ``engine``,
-    ``reduction``, ``symmetry``, ``cache``, ``jobs``, ``spill``, ``por``
-    and ``instrumentation`` behave as in :func:`exhaustive_verify`.
-    """
-    from ..runtime.explore_engine import explore_state_programs
-
-    if entry.kind != "SB":
-        raise ValueError(f"{entry.name} is op-based; use exhaustive_verify")
-    if engine not in ("fast", "naive"):
-        raise ValueError(f"unknown engine {engine!r}: use 'fast' or 'naive'")
-    ins = instrumentation if instrumentation is not None \
-        else NULL_INSTRUMENTATION
-    if jobs > 1:
-        if engine == "naive":
-            raise ValueError("jobs > 1 requires the fast engine")
-        from .steal import exhaustive_verify_steal
-
-        return exhaustive_verify_steal(
-            entry, programs, jobs=jobs, max_gossips=max_gossips,
-            reduction=reduction, symmetry=symmetry, cache=cache,
-            instrumentation=ins, spill=spill,
-            max_configurations=max_configurations,
-            oversubscribe=oversubscribe, por=por,
-        )
-    result = ExhaustiveResult(entry.name)
-    visit = _make_visit(entry, result, cache and engine == "fast", ins)
-    store: Optional[FingerprintStore] = None
-    if (spill is not None or fp_store) and engine == "fast":
-        store = FingerprintStore(spill_dir=spill)
-    ins.journal_event("scope.start", entry=entry.name, family="SB")
-    if heartbeat is not None:
-        heartbeat.begin_task(entry.name)
-    make_system = _system_factory(entry, programs, por)
-
-    with ins.span("exhaustive.scope", entry=entry.name, kind="SB"):
-        if engine == "naive":
-            result.configurations = explore_state_programs_naive(
-                make_system, programs, visit,
-                max_gossips=max_gossips,
-                max_configurations=max_configurations,
-            )
-        else:
-            result.stats = ExploreStats()
-            result.configurations = explore_state_programs(
-                make_system, programs, visit,
-                max_gossips=max_gossips,
-                max_configurations=max_configurations,
-                reduction=entry.reduction if reduction is None else reduction,
-                symmetry=entry.symmetry if symmetry is None else symmetry,
-                stats=result.stats,
-                instrumentation=ins,
-                fp_store=store,
-                por=por,
-                heartbeat=heartbeat,
-            )
-    _finish_scope(entry, result, store, ins, heartbeat)
-    return result
 
 
 def standard_programs(entry: CRDTEntry) -> Dict[str, Program]:

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.instrument import Instrumentation, NULL_INSTRUMENTATION
-from ..runtime.schedule import Program
+from ..runtime.explore_engine import Program
 from .exhaustive import standard_programs
 from .registry import ALL_ENTRIES, CRDTEntry, entry_by_name
 from .report import VerificationResult, verify_entry

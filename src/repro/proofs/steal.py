@@ -56,9 +56,8 @@ from ..core.ralin import CheckStats
 from ..obs.heartbeat import HeartbeatEmitter
 from ..obs.instrument import Instrumentation, NULL_INSTRUMENTATION
 from ..obs.progress import ProgressMonitor
-from ..runtime.explore_engine import ExploreStats, build_engine
+from ..runtime.explore_engine import ExploreStats, Program, build_engine
 from ..runtime.fp_store import FingerprintStore, FPStoreStats
-from ..runtime.schedule import Program
 from ..runtime.symmetry import build_group, rename_transition
 from ..runtime.system import DEFAULT_OBJECT
 from .exhaustive import (
@@ -279,9 +278,6 @@ class _Session:
         self.store: Optional[FingerprintStore] = (
             FingerprintStore(spill_dir=spill_dir) if use_fp_store else None
         )
-        self.fps: Any = (
-            self.store.visited_set() if self.store is not None else set()
-        )
         self.kind = "op" if entry.kind == "OB" else "state"
         self.engine = build_engine(
             self.kind, _system_factory(entry, programs, por), programs,
@@ -290,7 +286,6 @@ class _Session:
             reduction=entry.reduction if reduction is None else reduction,
             symmetry=entry.symmetry if symmetry is None else symmetry,
             stats=self.stats,
-            fingerprints=self.fps,
             fp_store=self.store,
             scheduler=scheduler if por == "sleep" else None,
             budget=budget,
@@ -307,7 +302,7 @@ class _Session:
 
     def harvest(self, scope_index: int, ins: Instrumentation):
         """Close out the session: ``(scope_index, result, fingerprints)``."""
-        fps = set(self.fps)
+        fps = set(self.engine._visited_fps)
         if self.store is not None:
             self.result.fp_store = self.store.stats
             if ins.enabled:
@@ -408,11 +403,14 @@ def _root_transitions(
 
     At the root no label has been generated, so the only op-based
     transitions are the first invocations; state-based roots additionally
-    offer every ordered gossip pair while budget remains.  Mirrors
-    ``_OpDomain.transitions`` / ``_StateDomain.transitions`` over
-    ``sorted(programs)`` (the replica order both systems are built with).
+    offer every ordered gossip pair while budget remains.  Mirrors the
+    ``transitions`` of ``_OpDomain`` / ``_StateDomain`` (subclasses of
+    ``_Domain`` in :mod:`repro.runtime.explore_engine`), which walk the
+    replicas in ``programs``' own order: a seed's branch index must name
+    the same transition in every worker's domain, so this order is not
+    sorted, whatever replica order the systems are built with.
     """
-    replicas = sorted(programs)
+    replicas = list(programs)
     trans: List[Tuple] = [
         ("inv", r, 0) for r in replicas if programs[r]
     ]

@@ -22,6 +22,7 @@ from .composition import (
 )
 from .explore_engine import (
     ExploreStats,
+    explore_op_programs,
     explore_state_programs,
     op_config_key,
     op_orbit_key,
@@ -35,7 +36,6 @@ from .explore_naive import (
 from .symmetry import SymmetryGroup, build_group, canon_key, replica_classes
 from .recording import dumps, loads, record_schedule, replay_schedule
 from .schedule import (
-    explore_op_programs,
     random_op_execution,
     random_state_execution,
 )

@@ -66,7 +66,7 @@ dedup hits, sleep-set prunes, peak DFS frontier, wall time) that
 
 import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -224,63 +224,49 @@ def _logical_ids(generation_order: Sequence) -> Dict[int, Lid]:
 # ----------------------------------------------------------------------
 
 
-class _OpDomain:
-    """Op-based semantics: invoke / causal-delivery transitions."""
+class _Domain:
+    """The configuration bookkeeping both semantics share.
+
+    Op- and state-based configurations have one shape (Sec. 3, App. D):
+    program counters and returns, labels with visibility, per-replica
+    seen-sets and replica-local states.  They differ only in how effects
+    travel — causal delivery or merge — which the subclasses supply:
+    transitions and ``apply``, the independence/race/happens-before
+    relations, the per-replica fingerprint part and the replica-free
+    fingerprint component, plus one extra token slot
+    (:attr:`_token_slot`).
+
+    Copy-on-write: ``push`` tokens share the counters, returns, lid
+    tables and the token slot by reference, so every change *replaces*
+    those values instead of mutating them; only the seen mirror and the
+    parts table are copied per token.
+    """
+
+    #: The attribute ``push`` saves and ``pop`` restores on top of the
+    #: shared state (a value replaced, never mutated, when it changes).
+    _token_slot: str
 
     def __init__(
         self,
-        system: OpBasedSystem,
+        system: Any,
         programs: Dict[str, Program],
-        require_quiescence: bool,
         reduction: bool,
         stats: ExploreStats,
-        symmetry: bool = False,
+        symmetry: bool,
+        extra_names: Sequence[str] = (),
     ) -> None:
         self.system = system
         self.programs = programs
         self.replicas = list(programs)
-        self.require_quiescence = require_quiescence
         self.reduction = reduction
         self.stats = stats
         self.use_snapshots = system.snapshot_safe
         self.counters: Dict[str, int] = {r: 0 for r in programs}
         self.returns: Dict[str, List[Any]] = {r: [] for r in programs}
-        # Incremental logical-id maps (see _logical_ids): extended on each
-        # invoke, saved/restored with the DFS tokens.  transitions() and
-        # fingerprint() are called several times per DFS node, so the maps
-        # must not be rebuilt from the whole generation order every time.
-        self._lids: Dict[int, Lid] = {}
-        self._per_origin: Dict[Any, int] = {}
-        self._lid_to_label: Dict[Lid, Any] = {}
-        self._lid_order: List[Lid] = []
-        #: Label content keyed by logical id, maintained with the lid maps
-        #: so fingerprint() does not re-collect the whole order per DFS
-        #: node.  A *set*, not a sequence: the generation order of
-        #: concurrent operations is not observable in the configuration
-        #: (the lid pins each label to its program step, and visibility
-        #: carries the causal structure), and an order-insensitive label
-        #: component is what lets permuted-interleaving orbit members —
-        #: and plain interleaving variants — deduplicate.
-        self._labels_data: FrozenSet[Tuple] = frozenset()
-        self._sync_lids()
-        # Lid-valued mirrors of the system's seen-sets and visibility,
-        # updated alongside apply() (the system's update discipline is
-        # small: invoke adds vis edges from the origin's seen labels plus
-        # the label itself; deliver only adds to seen).  fingerprint()
-        # then reads them directly instead of re-translating every label
-        # per DFS node.  The naive-vs-engine differential oracle guards
-        # the mirrors: a divergence changes the deduplicated visit set.
-        self._rebuild_mirrors()
+        self._resync()
         # Per-state fingerprint cache: id(state) -> (state, fingerprint).
         # Holding the state reference pins the id against reuse.
         self._state_fps: Dict[int, Tuple[Any, Any]] = {}
-        # The object and generator tables never change shape mid-search.
-        self._objs = sorted(system.objects.items())
-        self._gen_names = sorted(system._generators)
-        self._state_keys = [
-            ((r, name), crdt)
-            for r in self.replicas for name, crdt in self._objs
-        ]
         # Incremental fingerprint parts: one entry of replica-indexed
         # components per replica, None = dirty (recomputed lazily by
         # fingerprint()).  apply() dirties only the touched replica;
@@ -288,19 +274,58 @@ class _OpDomain:
         # fingerprint cost is O(delta), not O(configuration).  With
         # symmetry on, entries hold the part's *fragment vector* (its
         # canonical images under every group element) instead of the raw
-        # part; _glob_frags is the analogous vector of the replica-free
-        # component, dirtied only when labels/visibility change.
+        # part; _glob is the replica-free component (its fragment vector
+        # under symmetry), dirtied only when that component changes.
         self._parts: Dict[str, Optional[Tuple]] = {
             r: None for r in self.replicas
         }
-        self._glob_frags: Optional[Tuple] = None
+        self._glob: Optional[Tuple] = None
         self.sym: Optional[SymmetryReducer] = None
         if symmetry and len(self.replicas) > 1:
-            group = build_group(programs, extra_names=tuple(system.objects))
+            group = build_group(programs, extra_names=extra_names)
             stats.symmetry_group = group.order
             stats.pinned_replicas = len(group.pinned)
             if group.enabled:
                 self.sym = SymmetryReducer(self.replicas, group)
+
+    def _resync(self) -> None:
+        """Derive the lid tables and the lid-valued mirrors from the system.
+
+        Runs at construction and after the deepcopy fallback, which
+        replaces every label object the tables resolve to.  Between the
+        two, apply() keeps the mirrors in step with the system's small
+        update discipline (invoke adds vis edges from the origin's seen
+        labels plus the label itself; delivery and merge only add to
+        seen), so fingerprint() reads them directly instead of
+        re-translating every label per DFS node.  The naive-vs-engine
+        differential oracle guards the mirrors: a divergence changes the
+        deduplicated visit set.
+        """
+        # Incremental logical-id maps (see _logical_ids), extended by
+        # _sync_lids on each invoke: transitions() and fingerprint() run
+        # several times per DFS node, so the maps must not be rebuilt
+        # from the whole generation order every time.
+        self._lids: Dict[int, Lid] = {}
+        self._per_origin: Dict[Any, int] = {}
+        self._lid_to_label: Dict[Lid, Any] = {}
+        self._lid_order: List[Lid] = []
+        #: Label content keyed by logical id.  A *set*, not a sequence:
+        #: the generation order of concurrent operations is not
+        #: observable in the configuration (the lid pins each label to
+        #: its program step, and visibility carries the causal
+        #: structure), and an order-insensitive label component is what
+        #: lets permuted-interleaving orbit members — and plain
+        #: interleaving variants — deduplicate.
+        self._labels_data: FrozenSet[Tuple] = frozenset()
+        self._sync_lids()
+        lids = self._lids
+        self._seen_lids: Dict[str, FrozenSet[Lid]] = {
+            r: frozenset(lids[l.uid] for l in self.system._seen[r])
+            for r in self.replicas
+        }
+        self._vis_lids: FrozenSet[Tuple[Lid, Lid]] = frozenset(
+            (lids[a.uid], lids[b.uid]) for a, b in self.system._vis
+        )
 
     def _sync_lids(self) -> None:
         """Extend the lid maps with labels generated since the last sync.
@@ -328,19 +353,169 @@ class _OpDomain:
                  label.ret, label.ts),
             }
 
-    def _rebuild_mirrors(self) -> None:
-        lids = self._lids
-        self._seen_lids: Dict[str, FrozenSet[Lid]] = {
-            r: frozenset(lids[l.uid] for l in self.system._seen[r])
-            for r in self.replicas
+    def _record_invoke(self, replica: str, label: Any) -> Lid:
+        """Account for ``replica``'s program step that generated ``label``.
+
+        Copy-on-write, like _sync_lids: push() shares the counters and
+        returns maps.  Returns the label's logical id.
+        """
+        self.counters = {
+            **self.counters, replica: self.counters[replica] + 1
         }
-        self._vis_lids: FrozenSet[Tuple[Lid, Lid]] = frozenset(
-            (lids[a.uid], lids[b.uid]) for a, b in self.system._vis
+        self.returns = {
+            **self.returns, replica: self.returns[replica] + [label.ret]
+        }
+        self._sync_lids()
+        lid = self._lids[label.uid]
+        seen = self._seen_lids[replica]
+        self._vis_lids |= {(prior, lid) for prior in seen}
+        self._seen_lids[replica] = seen | {lid}
+        self._parts[replica] = None
+        self._glob = None
+        return lid
+
+    # -- branching ------------------------------------------------------
+
+    def push(self) -> Tuple:
+        if self.use_snapshots:
+            self.stats.snapshots += 1
+            system_token: Any = self.system.snapshot()
+        else:
+            self.stats.deepcopies += 1
+            system_token = copy.deepcopy(self.system)
+        return (
+            system_token,
+            self.counters,
+            self.returns,
+            self._lids,
+            self._per_origin,
+            self._lid_to_label,
+            self._lid_order,
+            self._labels_data,
+            dict(self._seen_lids),
+            self._vis_lids,
+            dict(self._parts),
+            self._glob,
+            getattr(self, self._token_slot),
         )
+
+    def pop(self, token: Tuple) -> None:
+        (system_token, counters, returns, lids, per_origin, lid_to_label,
+         lid_order, labels_data, seen_lids, vis_lids, parts, glob,
+         slot) = token
+        self.counters = counters
+        self.returns = returns
+        # Part entries are immutable values: restoring the shallow copy
+        # re-marks exactly the replicas that were dirty at push time.
+        self._parts = dict(parts)
+        self._glob = glob
+        setattr(self, self._token_slot, slot)
+        if self.use_snapshots:
+            self.system.restore(system_token)
+            self._lids = lids
+            self._per_origin = per_origin
+            self._lid_to_label = lid_to_label
+            self._lid_order = lid_order
+            self._labels_data = labels_data
+            self._seen_lids = dict(seen_lids)
+            self._vis_lids = vis_lids
+        else:
+            self.stats.deepcopies += 1
+            self.system = copy.deepcopy(system_token)
+            self._resync()
+
+    def _remaining_invokes(self) -> List[Transition]:
+        """Every program step not yet run — the invocation part of both
+        domains' ``residual_transitions``."""
+        counters, programs = self.counters, self.programs
+        return [
+            ("inv", replica, i)
+            for replica in self.replicas
+            for i in range(counters[replica], len(programs[replica]))
+        ]
+
+    # -- fingerprinting -------------------------------------------------
+
+    def _state_fp(self, crdt, state) -> Any:
+        cache = self._state_fps
+        cached = cache.get(id(state))
+        if cached is not None and cached[0] is state:
+            return cached[1]
+        fp = crdt.fingerprint(state)
+        if len(cache) >= _STATE_FP_CACHE_LIMIT:
+            cache.clear()
+        cache[id(state)] = (state, fp)
+        if len(cache) > self.stats.state_fp_cache_peak:
+            self.stats.state_fp_cache_peak = len(cache)
+        return fp
+
+    def fingerprint(self) -> Any:
+        parts = self._parts
+        sym = self.sym
+        if sym is None:
+            for replica in self.replicas:
+                if parts[replica] is None:
+                    parts[replica] = self._compute_part(replica)
+            if self._glob is None:
+                self._glob = self._glob_part()
+            return tuple(parts[r] for r in self.replicas), self._glob
+        for replica in self.replicas:
+            if parts[replica] is None:
+                parts[replica] = sym.part_fragments(
+                    self._compute_part(replica)
+                )
+        if self._glob is None:
+            self._glob = sym.glob_fragments(self._glob_part())
+        return sym.canonical(parts, self._glob)
+
+    def canon_sleep(self, sleep: FrozenSet[Transition]) -> Any:
+        """Translate a sleep set into the frame of the latest fingerprint.
+
+        With symmetry on, the fingerprint is the image of the
+        configuration under the minimizing permutation π*; sleep sets
+        recorded against it must live in the same frame, so subsumption
+        compares schedules of the *canonical* configuration, not of
+        whichever orbit member happened to arrive.
+        """
+        sym = self.sym
+        if sym is None or not sleep:
+            return sleep
+        return sym.rename_transitions(sleep)
+
+    def visit_args(self) -> Tuple[Any, Dict[str, List[Any]]]:
+        return self.system, self.returns
+
+
+class _OpDomain(_Domain):
+    """Op-based semantics: invoke / causal-delivery transitions."""
+
+    _token_slot = "_causal_lids"
+
+    def __init__(
+        self,
+        system: OpBasedSystem,
+        programs: Dict[str, Program],
+        require_quiescence: bool,
+        reduction: bool,
+        stats: ExploreStats,
+        symmetry: bool = False,
+    ) -> None:
+        self.require_quiescence = require_quiescence
+        super().__init__(system, programs, reduction, stats, symmetry,
+                         extra_names=tuple(system.objects))
+        # The generator table never changes shape mid-search.
+        self._gen_names = sorted(system._generators)
+
+    def _resync(self) -> None:
+        super()._resync()
+        lids = self._lids
         self._causal_lids: Dict[Lid, FrozenSet[Lid]] = {
             lids[label.uid]: frozenset(lids[p.uid] for p in preds)
             for label, preds in self.system._causal_preds.items()
         }
+        # The object table holds CRDT instances, which a deepcopy
+        # replaces along with the labels.
+        self._objs = sorted(self.system.objects.items())
 
     # -- transitions ----------------------------------------------------
 
@@ -380,18 +555,7 @@ class _OpDomain:
                 label = self.system.invoke(replica, method, args, obj=obj)
             except PreconditionViolation:
                 return False  # this interleaving cannot run the op yet
-            # Copy-on-write, like _sync_lids: push() shares these maps.
-            self.counters = {
-                **self.counters, replica: self.counters[replica] + 1
-            }
-            self.returns = {
-                **self.returns, replica: self.returns[replica] + [label.ret]
-            }
-            self._sync_lids()
-            lid = self._lids[label.uid]
-            seen = self._seen_lids[replica]
-            self._vis_lids |= {(prior, lid) for prior in seen}
-            self._seen_lids[replica] = seen | {lid}
+            lid = self._record_invoke(replica, label)
             lids = self._lids
             self._causal_lids = {
                 **self._causal_lids,
@@ -399,8 +563,6 @@ class _OpDomain:
                     lids[p.uid] for p in self.system._causal_preds[label]
                 ),
             }
-            self._parts[replica] = None
-            self._glob_frags = None
             return True
         label = self._lid_to_label[payload]
         # prechecked: transitions() established deliverability from the
@@ -409,71 +571,6 @@ class _OpDomain:
         self._seen_lids[replica] = self._seen_lids[replica] | {payload}
         self._parts[replica] = None
         return True
-
-    # -- branching ------------------------------------------------------
-
-    def push(self) -> Tuple:
-        if self.use_snapshots:
-            self.stats.snapshots += 1
-            system_token: Any = self.system.snapshot()
-        else:
-            self.stats.deepcopies += 1
-            system_token = copy.deepcopy(self.system)
-        # Counters, returns and the lid maps change only on invoke,
-        # which replaces them (copy-on-write): the token shares them.
-        return (
-            system_token,
-            self.counters,
-            self.returns,
-            self._lids,
-            self._per_origin,
-            self._lid_to_label,
-            self._lid_order,
-            self._causal_lids,
-            self._labels_data,
-            dict(self._seen_lids),
-            self._vis_lids,
-            dict(self._parts),
-            self._glob_frags,
-        )
-
-    def pop(self, token: Tuple) -> None:
-        (system_token, counters, returns, lids, per_origin, lid_to_label,
-         lid_order, causal_lids, labels_data, seen_lids, vis_lids,
-         parts, glob_frags) = token
-        # Part entries are immutable values: restoring the shallow copy
-        # re-marks exactly the replicas that were dirty at push time.
-        self._parts = dict(parts)
-        self._glob_frags = glob_frags
-        if self.use_snapshots:
-            self.system.restore(system_token)
-            self._lids = lids
-            self._per_origin = per_origin
-            self._lid_to_label = lid_to_label
-            self._lid_order = lid_order
-            self._causal_lids = causal_lids
-            self._labels_data = labels_data
-            self._seen_lids = dict(seen_lids)
-            self._vis_lids = vis_lids
-        else:
-            # The deepcopy fallback replaces every label object, so the
-            # lid resolution maps must be rebuilt from the fresh copy.
-            self.stats.deepcopies += 1
-            self.system = copy.deepcopy(system_token)
-            self._lids = {}
-            self._per_origin = {}
-            self._lid_to_label = {}
-            self._lid_order = []
-            self._labels_data = frozenset()
-            self._sync_lids()
-            self._rebuild_mirrors()
-            self._objs = sorted(self.system.objects.items())
-            self._state_keys = [
-                ((r, name), crdt)
-                for r in self.replicas for name, crdt in self._objs
-            ]
-        self.counters = counters
-        self.returns = returns
 
     # -- independence (the DPOR relation) -------------------------------
 
@@ -519,38 +616,6 @@ class _OpDomain:
 
     # -- happens-before / races (the source-DPOR relations) -------------
 
-    def hb_dependent(self, a: Transition, b: Transition) -> bool:
-        """Structural dependence of a later event ``b`` on an earlier ``a``.
-
-        This is the *coarse* relation source-DPOR computes races over; it
-        may be coarser than :meth:`independent` (which additionally probes
-        dynamic effector commutation) — a coarser happens-before merges
-        fewer executions into one trace class, which only means more races
-        are considered, never fewer, so mixing the two stays sound.
-
-        Op-based events touch replica-local data (state, seen-set, clock),
-        so two events are dependent iff they share a replica — plus the
-        creation edge: a delivery depends on the invocation that generated
-        its label (the k-th invocation at replica ``r`` has logical id
-        ``(r, k)``, which is exactly ``("inv", r, k)``'s payload).
-
-        With ``require_quiescence=False`` the visit hook observes interior
-        configurations, where commuting adjacent events is not
-        prefix-preserving; the engine demotes ``por="source"`` to the
-        sleep path outright in that mode, and this relation answering
-        "everything is dependent" is defense-in-depth should a caller
-        reach the source machinery anyway.
-        """
-        if not self.require_quiescence:
-            return True
-        if a[1] == b[1]:
-            return True
-        if a[0] == "inv" and b[0] == "del" and b[2] == (a[1], a[2]):
-            return True
-        if b[0] == "inv" and a[0] == "del" and a[2] == (b[1], b[2]):
-            return True  # symmetric guard; cannot occur in program order
-        return False
-
     def race_reversible(self, a: Transition, b: Transition) -> bool:
         """Whether the race ``a`` before ``b`` has an executable reversal.
 
@@ -574,20 +639,14 @@ class _OpDomain:
                 return False
         return True
 
-    def must_schedule(self, transition: Transition) -> bool:
-        """Whether a node must schedule ``transition`` unconditionally.
-
-        Race reversals only ever request events that *occur* in explored
-        executions, which covers a transition iff every maximal execution
-        eventually takes it.  Op-based transitions all qualify —
-        invocations run their programs out and deliveries stay enabled
-        until taken, so leaves are exactly the quiescent configurations —
-        hence nothing needs forced scheduling.
-        """
-        return False
-
-    #: No transition ever needs forcing (see :meth:`must_schedule`): the
-    #: engine skips the per-node seeding scan entirely.
+    #: Whether some transition must be scheduled unconditionally (see
+    #: :meth:`_StateDomain.must_schedule`).  Race reversals only ever
+    #: request events that *occur* in explored executions, which covers
+    #: a transition iff every maximal execution eventually takes it.
+    #: Op-based transitions all qualify — invocations run their programs
+    #: out and deliveries stay enabled until taken, so leaves are exactly
+    #: the quiescent configurations — so the engine skips the per-node
+    #: seeding scan entirely.
     forces_schedule = False
 
     def residual_transitions(self) -> List[Transition]:
@@ -600,12 +659,7 @@ class _OpDomain:
         residual alphabet *is* the subtree footprint — no recording, no
         canonical-frame renaming, O(remaining work) to enumerate.
         """
-        res: List[Transition] = []
-        for replica in self.replicas:
-            for i in range(
-                self.counters[replica], len(self.programs[replica])
-            ):
-                res.append(("inv", replica, i))
+        res = self._remaining_invokes()
         for target in self.replicas:
             seen = self._seen_lids[target]
             for replica in self.replicas:
@@ -620,8 +674,7 @@ class _OpDomain:
     # Incremental happens-before masks: the engine notes each path event
     # once, and ``hb_dep_mask`` answers "which path indices is this event
     # hb-dependent on" as a bitmask in O(1) dict lookups instead of an
-    # O(path) relation loop per event.  Must stay equivalent to
-    # :meth:`hb_dependent`; the differential suite pins the pair.
+    # O(path) relation loop per event.
 
     def hb_reset(self) -> None:
         self._hb_replica_masks: Dict[str, int] = {}
@@ -640,28 +693,37 @@ class _OpDomain:
             self._hb_mk_bit.pop((transition[1], transition[2]), None)
 
     def hb_dep_mask(self, transition: Transition, length: int) -> int:
+        """The path indices ``transition`` structurally depends on.
+
+        This is the *coarse* relation source-DPOR computes races over; it
+        may be coarser than :meth:`independent` (which additionally
+        probes dynamic effector commutation) — a coarser happens-before
+        merges fewer executions into one trace class, which only means
+        more races are considered, never fewer, so mixing the two stays
+        sound.
+
+        Op-based events touch replica-local data (state, seen-set,
+        clock), so two events are dependent iff they share a replica —
+        plus the creation edge: a delivery depends on the invocation that
+        generated its label (the k-th invocation at replica ``r`` has
+        logical id ``(r, k)``, which is exactly ``("inv", r, k)``'s
+        payload).
+
+        With ``require_quiescence=False`` the visit hook observes
+        interior configurations, where commuting adjacent events is not
+        prefix-preserving; the engine demotes ``por="source"`` to the
+        sleep path outright in that mode, and every event depending on
+        the whole path is defense-in-depth should a caller reach the
+        source machinery anyway.
+        """
         if not self.require_quiescence:
             return (1 << length) - 1
         mask = self._hb_replica_masks.get(transition[1], 0)
         if transition[0] == "del":
-            # The creation edge: the inv that generated this label.
             mask |= self._hb_mk_bit.get(transition[2], 0)
         return mask
 
     # -- fingerprinting -------------------------------------------------
-
-    def _state_fp(self, crdt, state) -> Any:
-        cache = self._state_fps
-        cached = cache.get(id(state))
-        if cached is not None and cached[0] is state:
-            return cached[1]
-        fp = crdt.fingerprint(state)
-        if len(cache) >= _STATE_FP_CACHE_LIMIT:
-            cache.clear()
-        cache[id(state)] = (state, fp)
-        if len(cache) > self.stats.state_fp_cache_peak:
-            self.stats.state_fp_cache_peak = len(cache)
-        return fp
 
     def _compute_part(self, replica: str) -> Tuple:
         """The replica-indexed fingerprint components of one replica."""
@@ -682,48 +744,15 @@ class _OpDomain:
             ),
         )
 
-    def fingerprint(self) -> Any:
-        parts = self._parts
-        sym = self.sym
-        if sym is None:
-            for replica in self.replicas:
-                if parts[replica] is None:
-                    parts[replica] = self._compute_part(replica)
-            return (
-                tuple(parts[r] for r in self.replicas),
-                (self._labels_data, self._vis_lids),
-            )
-        for replica in self.replicas:
-            if parts[replica] is None:
-                parts[replica] = sym.part_fragments(
-                    self._compute_part(replica)
-                )
-        if self._glob_frags is None:
-            self._glob_frags = sym.glob_fragments(
-                (self._labels_data, self._vis_lids)
-            )
-        return sym.canonical(parts, self._glob_frags)
-
-    def canon_sleep(self, sleep: FrozenSet[Transition]) -> Any:
-        """Translate a sleep set into the frame of the latest fingerprint.
-
-        With symmetry on, the fingerprint is the image of the
-        configuration under the minimizing permutation π*; sleep sets
-        recorded against it must live in the same frame, so subsumption
-        compares schedules of the *canonical* configuration, not of
-        whichever orbit member happened to arrive.
-        """
-        sym = self.sym
-        if sym is None or not sleep:
-            return sleep
-        return sym.rename_transitions(sleep)
-
-    def visit_args(self) -> Tuple[Any, Dict[str, List[Any]]]:
-        return self.system, self.returns
+    def _glob_part(self) -> Tuple:
+        """The replica-free fingerprint component: labels and visibility."""
+        return self._labels_data, self._vis_lids
 
 
-class _StateDomain:
+class _StateDomain(_Domain):
     """State-based semantics: invoke / bounded-gossip transitions."""
+
+    _token_slot = "budget"
 
     def __init__(
         self,
@@ -734,56 +763,14 @@ class _StateDomain:
         stats: ExploreStats,
         symmetry: bool = False,
     ) -> None:
-        self.system = system
-        self.programs = programs
-        self.replicas = list(programs)
         self.budget = max_gossips
-        self.reduction = reduction
-        self.stats = stats
-        self.use_snapshots = system.snapshot_safe
-        self.counters: Dict[str, int] = {r: 0 for r in programs}
-        self.returns: Dict[str, List[Any]] = {r: [] for r in programs}
-        self._lids: Dict[int, Lid] = {}
-        self._per_origin: Dict[Any, int] = {}
-        self._labels_data: FrozenSet[Tuple] = frozenset()
-        self._sync_lids()
-        self._rebuild_mirrors()
-        self._state_fps: Dict[int, Tuple[Any, Any]] = {}
-        # Incremental fingerprint parts — same discipline as _OpDomain.
-        self._parts: Dict[str, Optional[Tuple]] = {
-            r: None for r in self.replicas
-        }
-        self._glob_frags: Optional[Tuple] = None
-        self.sym: Optional[SymmetryReducer] = None
-        if symmetry and len(self.replicas) > 1:
-            group = build_group(programs)
-            stats.symmetry_group = group.order
-            stats.pinned_replicas = len(group.pinned)
-            if group.enabled:
-                self.sym = SymmetryReducer(self.replicas, group)
-
-    def _sync_lids(self) -> None:
-        """Extend the lid map with labels generated since the last sync."""
-        order = self.system.generation_order
-        for label in order[len(self._lids):]:
-            seq = self._per_origin.get(label.origin, 0)
-            self._per_origin[label.origin] = seq + 1
-            lid = (label.origin, seq)
-            self._lids[label.uid] = lid
-            self._labels_data |= {
-                (lid, label.method, label.args, label.ret, label.ts),
-            }
-
-    def _rebuild_mirrors(self) -> None:
-        """Recompute the lid-based seen/vis mirrors from the system."""
-        lids = self._lids
-        self._seen_lids: Dict[str, FrozenSet[Lid]] = {
-            r: frozenset(lids[l.uid] for l in self.system._seen[r])
-            for r in self.replicas
-        }
-        self._vis_lids: FrozenSet[Tuple[Lid, Lid]] = frozenset(
-            (lids[a.uid], lids[b.uid]) for a, b in self.system._vis
-        )
+        super().__init__(system, programs, reduction, stats, symmetry)
+        self._gossips: List[Transition] = [
+            ("gos", source, target)
+            for source in self.replicas
+            for target in self.replicas
+            if source != target
+        ]
 
     # -- transitions ----------------------------------------------------
 
@@ -793,10 +780,7 @@ class _StateDomain:
             if self.counters[replica] < len(self.programs[replica]):
                 trans.append(("inv", replica, self.counters[replica]))
         if self.budget > 0:
-            for source in self.replicas:
-                for target in self.replicas:
-                    if source != target:
-                        trans.append(("gos", source, target))
+            trans.extend(self._gossips)
         return trans
 
     def should_visit(self, transitions: List[Transition]) -> bool:
@@ -812,15 +796,7 @@ class _StateDomain:
                 label = self.system.invoke(first, method, args)
             except PreconditionViolation:
                 return False
-            self.counters[first] += 1
-            self.returns[first].append(label.ret)
-            self._sync_lids()
-            lid = self._lids[label.uid]
-            seen = self._seen_lids[first]
-            self._vis_lids |= {(prior, lid) for prior in seen}
-            self._seen_lids[first] = seen | {lid}
-            self._parts[first] = None
-            self._glob_frags = None
+            self._record_invoke(first, label)
             return True
         self.system.gossip(first, second)
         self._seen_lids[second] = self._seen_lids[second] | self._seen_lids[first]
@@ -828,62 +804,10 @@ class _StateDomain:
         # Gossip mutates only the target replica (the source is read) —
         # plus the global budget, which lives in the glob component.
         self._parts[second] = None
-        self._glob_frags = None
+        self._glob = None
         return True
 
-    # -- branching ------------------------------------------------------
-
-    def push(self) -> Tuple:
-        if self.use_snapshots:
-            self.stats.snapshots += 1
-            system_token: Any = self.system.snapshot()
-        else:
-            self.stats.deepcopies += 1
-            system_token = copy.deepcopy(self.system)
-        return (
-            system_token,
-            dict(self.counters),
-            {r: list(v) for r, v in self.returns.items()},
-            self.budget,
-            dict(self._lids),
-            dict(self._per_origin),
-            self._labels_data,
-            dict(self._seen_lids),
-            self._vis_lids,
-            dict(self._parts),
-            self._glob_frags,
-        )
-
-    def pop(self, token: Tuple) -> None:
-        (system_token, counters, returns, budget, lids, per_origin,
-         labels_data, seen_lids, vis_lids, parts, glob_frags) = token
-        self._parts = dict(parts)
-        self._glob_frags = glob_frags
-        if self.use_snapshots:
-            self.system.restore(system_token)
-            self._lids = dict(lids)
-            self._per_origin = dict(per_origin)
-            self._labels_data = labels_data
-            self._seen_lids = dict(seen_lids)
-            self._vis_lids = vis_lids
-        else:
-            self.stats.deepcopies += 1
-            self.system = copy.deepcopy(system_token)
-            self._lids = {}
-            self._per_origin = {}
-            self._labels_data = frozenset()
-            self._sync_lids()
-            self._rebuild_mirrors()
-        self.counters = dict(counters)
-        self.returns = {r: list(v) for r, v in returns.items()}
-        self.budget = budget
-
     # -- independence ---------------------------------------------------
-
-    def _replicas_of(self, transition: Transition) -> Tuple[str, ...]:
-        if transition[0] == "inv":
-            return (transition[1],)
-        return (transition[1], transition[2])
 
     def independent(self, a: Transition, b: Transition) -> bool:
         if not self.reduction:
@@ -919,25 +843,6 @@ class _StateDomain:
 
     # -- happens-before / races (the source-DPOR relations) -------------
 
-    def hb_dependent(self, a: Transition, b: Transition) -> bool:
-        """Structural dependence for the state-based semantics.
-
-        Gossips are declared dependent on *everything* — deliberately
-        coarser than :meth:`independent`.  The state-based visit hook
-        fires on interior configurations too (program-complete nodes with
-        leftover gossip budget), and source-DPOR only preserves maximal
-        executions per trace class; making every gossip an ordering
-        barrier forces each explored linearization to pass through every
-        visitable interior configuration of its class (invocation-only
-        commutations never change a program-complete prefix's
-        configuration set), so the visited set stays exactly the sleep-set
-        engine's.  The reduction then prunes invocation interleavings
-        between gossips — and the persistent snapshots carry the rest.
-        """
-        if a[0] == "gos" or b[0] == "gos":
-            return True
-        return a[1] == b[1]
-
     def race_reversible(self, a: Transition, b: Transition) -> bool:
         """See :meth:`_OpDomain.race_reversible`.
 
@@ -971,17 +876,9 @@ class _StateDomain:
         reversals are almost always already covered (every open frame
         force-seeds its enabled gossips via :meth:`must_schedule`).
         """
-        res: List[Transition] = []
-        for replica in self.replicas:
-            for i in range(
-                self.counters[replica], len(self.programs[replica])
-            ):
-                res.append(("inv", replica, i))
+        res = self._remaining_invokes()
         if self.budget > 0:
-            for source in self.replicas:
-                for target in self.replicas:
-                    if source != target:
-                        res.append(("gos", source, target))
+            res.extend(self._gossips)
         return res
 
     # Incremental happens-before masks — see :class:`_OpDomain`.
@@ -1005,27 +902,29 @@ class _StateDomain:
             self._hb_replica_masks[transition[1]] &= ~(1 << index)
 
     def hb_dep_mask(self, transition: Transition, length: int) -> int:
+        """The path indices ``transition`` structurally depends on.
+
+        Invocations depend on their replica's earlier events; gossips
+        depend on *everything* and everything depends on them —
+        deliberately coarser than :meth:`independent`.  The state-based
+        visit hook fires on interior configurations too (program-complete
+        nodes with leftover gossip budget), and source-DPOR only
+        preserves maximal executions per trace class; making every
+        gossip an ordering barrier forces each explored linearization to
+        pass through every visitable interior configuration of its class
+        (invocation-only commutations never change a program-complete
+        prefix's configuration set), so the visited set stays exactly the
+        sleep-set engine's.  The reduction then prunes invocation
+        interleavings between gossips.
+        """
         if transition[0] == "gos":
-            return (1 << length) - 1  # the global ordering barrier
+            return (1 << length) - 1
         return (
             self._hb_replica_masks.get(transition[1], 0)
             | self._hb_gos_mask
         )
 
     # -- fingerprinting -------------------------------------------------
-
-    def _state_fp(self, state) -> Any:
-        cache = self._state_fps
-        cached = cache.get(id(state))
-        if cached is not None and cached[0] is state:
-            return cached[1]
-        fp = self.system.crdt.fingerprint(state)
-        if len(cache) >= _STATE_FP_CACHE_LIMIT:
-            cache.clear()
-        cache[id(state)] = (state, fp)
-        if len(cache) > self.stats.state_fp_cache_peak:
-            self.stats.state_fp_cache_peak = len(cache)
-        return fp
 
     def _compute_part(self, replica: str) -> Tuple:
         """The replica-indexed fingerprint components of one replica."""
@@ -1035,43 +934,16 @@ class _StateDomain:
             tuple(self.returns[replica]),
             self._seen_lids[replica],
             system._generator.clock(replica),
-            self._state_fp(system._states[replica]),
+            self._state_fp(system.crdt, system._states[replica]),
         )
 
-    def fingerprint(self) -> Any:
-        parts = self._parts
-        sym = self.sym
-        # The message/event logs are excluded deliberately: exploration
-        # never re-reads old messages (gossip snapshots afresh), and the
-        # visit callbacks observe history/states only.
-        if sym is None:
-            for replica in self.replicas:
-                if parts[replica] is None:
-                    parts[replica] = self._compute_part(replica)
-            return (
-                tuple(parts[r] for r in self.replicas),
-                (self._labels_data, self._vis_lids, self.budget),
-            )
-        for replica in self.replicas:
-            if parts[replica] is None:
-                parts[replica] = sym.part_fragments(
-                    self._compute_part(replica)
-                )
-        if self._glob_frags is None:
-            self._glob_frags = sym.glob_fragments(
-                (self._labels_data, self._vis_lids, self.budget)
-            )
-        return sym.canonical(parts, self._glob_frags)
-
-    def canon_sleep(self, sleep: FrozenSet[Transition]) -> Any:
-        """See :meth:`_OpDomain.canon_sleep`."""
-        sym = self.sym
-        if sym is None or not sleep:
-            return sleep
-        return sym.rename_transitions(sleep)
-
-    def visit_args(self) -> Tuple[Any, Dict[str, List[Any]]]:
-        return self.system, self.returns
+    def _glob_part(self) -> Tuple:
+        """The replica-free fingerprint component: labels, visibility and
+        the gossip budget.  The message/event logs are excluded
+        deliberately: exploration never re-reads old messages (gossip
+        snapshots afresh), and the visit callbacks observe history and
+        states only."""
+        return self._labels_data, self._vis_lids, self.budget
 
 
 # ----------------------------------------------------------------------
@@ -1128,6 +1000,20 @@ class _Frame:
         return transition in enabled_set
 
 
+def _timed(name: str, phase: str) -> Callable[..., Any]:
+    """A :class:`_ProfiledDomain` method: forward the call to the domain's
+    ``name`` and charge its wall time to ``phase``."""
+
+    def forward(self, *args):
+        start = time.perf_counter()
+        result = getattr(self._domain, name)(*args)
+        self._profile.add(phase, time.perf_counter() - start)
+        return result
+
+    forward.__name__ = name
+    return forward
+
+
 class _ProfiledDomain:
     """Phase-timing proxy around an exploration domain.
 
@@ -1153,68 +1039,17 @@ class _ProfiledDomain:
     def __getattr__(self, name):
         return getattr(self._domain, name)
 
-    def push(self):
-        start = time.perf_counter()
-        token = self._domain.push()
-        self._profile.add("snapshot", time.perf_counter() - start)
-        return token
-
-    def pop(self, token) -> None:
-        start = time.perf_counter()
-        self._domain.pop(token)
-        self._profile.add("restore", time.perf_counter() - start)
-
-    def apply(self, transition) -> bool:
-        start = time.perf_counter()
-        ok = self._domain.apply(transition)
-        self._profile.add("apply", time.perf_counter() - start)
-        return ok
-
-    def independent(self, a, b) -> bool:
-        start = time.perf_counter()
-        result = self._domain.independent(a, b)
-        self._profile.add("commute", time.perf_counter() - start)
-        return result
-
-    def race_reversible(self, a, b) -> bool:
-        start = time.perf_counter()
-        result = self._domain.race_reversible(a, b)
-        self._profile.add("commute", time.perf_counter() - start)
-        return result
-
-    def fingerprint(self):
-        start = time.perf_counter()
-        fp = self._domain.fingerprint()
-        self._profile.add("fingerprint", time.perf_counter() - start)
-        return fp
-
-    def canon_sleep(self, sleep):
-        start = time.perf_counter()
-        result = self._domain.canon_sleep(sleep)
-        self._profile.add("fingerprint", time.perf_counter() - start)
-        return result
-
-    def hb_dep_mask(self, transition, index):
-        start = time.perf_counter()
-        mask = self._domain.hb_dep_mask(transition, index)
-        self._profile.add("hb", time.perf_counter() - start)
-        return mask
-
-    def hb_note(self, transition, index) -> None:
-        start = time.perf_counter()
-        self._domain.hb_note(transition, index)
-        self._profile.add("hb", time.perf_counter() - start)
-
-    def hb_unnote(self, transition, index) -> None:
-        start = time.perf_counter()
-        self._domain.hb_unnote(transition, index)
-        self._profile.add("hb", time.perf_counter() - start)
-
-    def residual_transitions(self):
-        start = time.perf_counter()
-        result = self._domain.residual_transitions()
-        self._profile.add("hb", time.perf_counter() - start)
-        return result
+    push = _timed("push", "snapshot")
+    pop = _timed("pop", "restore")
+    apply = _timed("apply", "apply")
+    independent = _timed("independent", "commute")
+    race_reversible = _timed("race_reversible", "commute")
+    fingerprint = _timed("fingerprint", "fingerprint")
+    canon_sleep = _timed("canon_sleep", "fingerprint")
+    hb_dep_mask = _timed("hb_dep_mask", "hb")
+    hb_note = _timed("hb_note", "hb")
+    hb_unnote = _timed("hb_unnote", "hb")
+    residual_transitions = _timed("residual_transitions", "hb")
 
 
 class _Engine:
@@ -1228,8 +1063,6 @@ class _Engine:
         max_configurations: Optional[int],
         dedup: bool,
         stats: ExploreStats,
-        fingerprints: Optional[set] = None,
-        expanded: Optional[Dict] = None,
         fp_store: Optional[Any] = None,
         scheduler: Optional[Any] = None,
         budget: Optional[Any] = None,
@@ -1253,14 +1086,8 @@ class _Engine:
         #: Optional :class:`~repro.runtime.fp_store.FingerprintStore`:
         #: when set, the visited/expanded records are keyed by fixed-width
         #: digests instead of raw fingerprint tuples, and live in the
-        #: store's (possibly spill-backed) containers unless the caller
-        #: provides its own.
+        #: store's (possibly spill-backed) containers.
         self.fp_store = fp_store
-        if fp_store is not None:
-            if fingerprints is None:
-                fingerprints = fp_store.visited_set()
-            if expanded is None:
-                expanded = fp_store.expanded_map()
         #: Optional work-stealing hook (``should_split(depth)`` /
         #: ``offload(path, sleep)``), honored by the sleep-set DFS only;
         #: when set, the engine tracks the transition path from the root
@@ -1274,17 +1101,18 @@ class _Engine:
         self.budget = budget
         self._path: List[Transition] = []
         #: Fingerprints of configurations already reported to ``visit``.
-        #: A caller-provided set is used in place (and thus observable
-        #: afterwards) — the work-stealing merge unions the per-worker
-        #: sets to count distinct configurations globally.
+        #: The work-stealing merge unions the per-worker sets to count
+        #: distinct configurations globally.
         self._visited_fps: Any = (
-            fingerprints if fingerprints is not None else set()
+            fp_store.visited_set() if fp_store is not None else set()
         )
         #: fingerprint -> sleep sets the subtree was explored under.  A new
         #: arrival is subsumed if some recorded sleep set is contained in
         #: the current one (then every schedule allowed now was allowed —
         #: and explored — before).
-        self._expanded: Any = expanded if expanded is not None else {}
+        self._expanded: Any = (
+            fp_store.expanded_map() if fp_store is not None else {}
+        )
         #: Recorded sleep keys, interned (see :meth:`_intern_sleep`).
         self._sleep_keys: Dict[Any, Any] = {}
         if por not in ("sleep", "source"):  # pragma: no cover - caller bug
@@ -1885,8 +1713,6 @@ def build_engine(
     reduction: bool = True,
     dedup: bool = True,
     stats: Optional[ExploreStats] = None,
-    fingerprints: Optional[set] = None,
-    expanded: Optional[Dict] = None,
     fp_store: Optional[Any] = None,
     scheduler: Optional[Any] = None,
     budget: Optional[Any] = None,
@@ -1920,8 +1746,7 @@ def build_engine(
         raise ValueError(f"unknown exploration kind {kind!r}")
     return _Engine(
         domain, visit, max_configurations, dedup, stats,
-        fingerprints=fingerprints, expanded=expanded, fp_store=fp_store,
-        scheduler=scheduler, budget=budget, por=por,
+        fp_store=fp_store, scheduler=scheduler, budget=budget, por=por,
         profile=profile, journal=journal, heartbeat=heartbeat,
     )
 
@@ -1972,17 +1797,17 @@ def explore_op_programs(
     stats = stats if stats is not None else ExploreStats()
     ins = instrumentation if instrumentation is not None \
         else NULL_INSTRUMENTATION
-    domain = _OpDomain(
-        make_system(), programs, require_quiescence, reduction, stats,
-        symmetry=symmetry,
+    engine = build_engine(
+        "op", make_system, programs, visit,
+        require_quiescence=require_quiescence,
+        max_configurations=max_configurations, reduction=reduction,
+        dedup=dedup, stats=stats, fp_store=fp_store, symmetry=symmetry,
+        por=por, profile=ins.profile, journal=ins.journal,
+        heartbeat=heartbeat,
     )
     with ins.span("explore.op", replicas=len(programs),
                   symmetry=symmetry, por=por) as span:
-        _Engine(
-            domain, visit, max_configurations, dedup, stats,
-            fp_store=fp_store, por=por,
-            profile=ins.profile, journal=ins.journal, heartbeat=heartbeat,
-        ).run()
+        engine.run()
         span.set(configurations=stats.configurations,
                  states_visited=stats.states_visited)
     if ins.enabled:
@@ -2015,18 +1840,17 @@ def explore_state_programs(
     stats = stats if stats is not None else ExploreStats()
     ins = instrumentation if instrumentation is not None \
         else NULL_INSTRUMENTATION
-    domain = _StateDomain(
-        make_system(), programs, max_gossips, reduction, stats,
-        symmetry=symmetry,
+    engine = build_engine(
+        "state", make_system, programs, visit, max_gossips=max_gossips,
+        max_configurations=max_configurations, reduction=reduction,
+        dedup=dedup, stats=stats, fp_store=fp_store, symmetry=symmetry,
+        por=por, profile=ins.profile, journal=ins.journal,
+        heartbeat=heartbeat,
     )
     with ins.span("explore.state", replicas=len(programs),
                   max_gossips=max_gossips, symmetry=symmetry,
                   por=por) as span:
-        _Engine(
-            domain, visit, max_configurations, dedup, stats,
-            fp_store=fp_store, por=por,
-            profile=ins.profile, journal=ins.journal, heartbeat=heartbeat,
-        ).run()
+        engine.run()
         span.set(configurations=stats.configurations,
                  states_visited=stats.states_visited)
     if ins.enabled:

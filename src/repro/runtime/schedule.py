@@ -1,17 +1,12 @@
-"""Schedulers: randomized executions and exhaustive small-scope exploration.
+"""Schedulers: randomized executions.
 
 The randomized drivers interleave workload invocations with adversarial
 delivery (op-based: causal but arbitrarily delayed; state-based: message
 duplication, reordering, and loss) and close executions with a read at every
 replica — so every history carries queries worth justifying.
 
-The exhaustive explorer enumerates *all* interleavings of fixed per-replica
-programs (used by the Sec. 3.3 client-reasoning reproduction and the Fig. 10
-reachability arguments).  It lives in :mod:`repro.runtime.explore_engine`
-(sleep sets, state dedup, copy-on-write snapshots — see
-``docs/exploration.md``) and is re-exported here under its historical name;
-the unoptimized baseline survives as
-:func:`repro.runtime.explore_naive.explore_op_programs_naive`.
+Exhaustive exploration of *all* interleavings of fixed per-replica programs
+lives in :mod:`repro.runtime.explore_engine` (see ``docs/exploration.md``).
 """
 
 import random
@@ -19,11 +14,6 @@ from typing import Sequence
 
 from ..core.errors import PreconditionViolation
 from ..crdts.base import OpBasedCRDT, StateBasedCRDT
-from .explore_engine import (  # noqa: F401  (re-exported API)
-    ExploreStats,
-    Program,
-    explore_op_programs,
-)
 from .state_system import StateBasedSystem
 from .system import OpBasedSystem
 from .workloads import Workload

@@ -138,6 +138,22 @@ class TestStealMatchesSerial:
             else:
                 assert sink["steal"].stolen_tasks == 0
 
+    @pytest.mark.parametrize("por", PORS)
+    def test_unsorted_replica_order(self, por):
+        # Seeds name root branches by index into the domain's
+        # transitions, which walk ``programs`` in its own order; a pinned
+        # replica listed first must not shift the orbit filter's picks
+        # (sorted seeds lost 51 of 183 configurations here).
+        entry = entry_by_name("Counter")
+        program = [("inc", ()), ("read", ())]
+        programs = {"r3": [("read", ())], "r1": program, "r2": program}
+        serial = exhaustive_verify(entry, programs, por=por)
+        stolen = exhaustive_verify_steal(
+            entry, programs, jobs=2, por=por, **FORCE
+        )
+        assert stolen.ok == serial.ok
+        assert stolen.configurations == serial.configurations
+
     def test_raw_fingerprints_without_store(self):
         # fp_store=False falls back to raw-fingerprint sets (the static
         # path's representation); the merge must still be exact.

@@ -28,6 +28,7 @@ from repro.runtime import (
     op_config_key,
     state_config_key,
 )
+from repro.runtime.explore_engine import build_engine
 
 OB_ENTRIES = [e for e in ALL_ENTRIES if e.kind == "OB"]
 SB_ENTRIES = [e for e in ALL_ENTRIES if e.kind == "SB"]
@@ -320,28 +321,93 @@ class _UnsafeCounter(OpCounter):
     snapshot_safe = False
 
 
-def test_deepcopy_fallback_matches_snapshot_path():
-    programs = {
-        "r1": [("inc", ()), ("read", ())],
-        "r2": [("inc", ()), ("read", ())],
-    }
+class _UnsafePNCounter(SBPNCounter):
+    snapshot_safe = False
+
+
+_FALLBACK_PROGRAMS = {
+    "r1": [("inc", ()), ("read", ())],
+    "r2": [("inc", ()), ("read", ())],
+}
+
+
+@pytest.mark.parametrize("por", ["sleep", "source"])
+@pytest.mark.parametrize("kind", ["op", "state"])
+def test_deepcopy_fallback_matches_snapshot_path(kind, por):
+    if kind == "op":
+        safe, unsafe = OpCounter, _UnsafeCounter
+        system_cls, explore, config_key = (
+            OpBasedSystem, explore_op_programs, op_config_key)
+        extra = {}
+    else:
+        safe, unsafe = SBPNCounter, _UnsafePNCounter
+        system_cls, explore, config_key = (
+            StateBasedSystem, explore_state_programs, state_config_key)
+        extra = {"max_gossips": 2}
 
     def keys_for(crdt_factory):
         keys = set()
         stats = ExploreStats()
-        explore_op_programs(
-            lambda: OpBasedSystem(crdt_factory(), replicas=["r1", "r2"]),
-            programs,
-            lambda s, r: keys.add(op_config_key(s, r)),
-            stats=stats,
+        explore(
+            lambda: system_cls(crdt_factory(), replicas=["r1", "r2"]),
+            _FALLBACK_PROGRAMS,
+            lambda s, r: keys.add(config_key(s, r)),
+            stats=stats, por=por, **extra,
         )
         return keys, stats
 
-    fast_keys, fast_stats = keys_for(OpCounter)
-    slow_keys, slow_stats = keys_for(_UnsafeCounter)
+    fast_keys, fast_stats = keys_for(safe)
+    slow_keys, slow_stats = keys_for(unsafe)
     assert fast_keys == slow_keys
     assert fast_stats.snapshots > 0 and fast_stats.deepcopies == 0
     assert slow_stats.deepcopies > 0 and slow_stats.snapshots == 0
+
+
+@pytest.mark.parametrize("unsafe", [False, True], ids=["snapshot", "deepcopy"])
+@pytest.mark.parametrize("kind", ["op", "state"])
+def test_push_pop_round_trip_shares_maps_copy_on_write(kind, unsafe):
+    """push() tokens share the counters, returns and lid maps: a step
+    must replace them, never mutate them, and pop() must restore the
+    pre-push configuration exactly — on the snapshot path and on the
+    deepcopy fallback alike."""
+    if kind == "op":
+        system_cls = OpBasedSystem
+        crdt_cls = _UnsafeCounter if unsafe else OpCounter
+        propagate = ("del", "r2", ("r1", 0))
+        sibling = ("del", "r1", ("r2", 0))
+    else:
+        system_cls = StateBasedSystem
+        crdt_cls = _UnsafePNCounter if unsafe else SBPNCounter
+        propagate = ("gos", "r1", "r2")
+        sibling = ("gos", "r2", "r1")
+
+    def domain_after(*steps):
+        domain = build_engine(
+            kind, lambda: system_cls(crdt_cls(), replicas=["r1", "r2"]),
+            _FALLBACK_PROGRAMS, lambda s, r: None, max_gossips=2,
+        ).domain
+        for step in steps:
+            assert domain.apply(step)
+        return domain
+
+    domain = domain_after(("inv", "r2", 0))  # non-empty maps at push time
+    before = domain.fingerprint()
+    token = domain.push()
+    shared = (domain.counters, domain.returns, domain._lids)
+    contents = copy.deepcopy(shared)
+
+    assert domain.apply(("inv", "r1", 0))
+    assert domain.apply(propagate)
+    assert domain.fingerprint() != before
+    assert shared == contents  # the token's maps were not mutated
+
+    domain.pop(token)
+    assert domain.fingerprint() == before
+    assert (domain.counters, domain.returns, domain._lids) == contents
+    # The restored mirrors drive the next step like a fresh replay's.
+    assert domain.apply(sibling)
+    assert domain.fingerprint() == domain_after(
+        ("inv", "r2", 0), sibling).fingerprint()
 
 
 # ----------------------------------------------------------------------

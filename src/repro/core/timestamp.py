@@ -14,7 +14,7 @@ from replica ids to counters, with the usual product partial order.
 
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 
 @total_ordering
@@ -100,25 +100,20 @@ class TimestampGenerator:
     The shared-timestamp composition ⊗ts (Sec. 5.3) is obtained by handing
     the *same* generator instance to several objects.
 
-    ``persistent=True`` switches the clock table to copy-on-write: every
-    mutation replaces ``_clocks`` with a fresh dict, so :meth:`snapshot`
-    can return the table itself by reference (O(1)) instead of copying it.
-    The exploration engine's persistent-snapshot mode takes hundreds of
-    thousands of snapshots over tables of a handful of replicas — the
-    reference snapshot is the win; the per-mutation copy is a few entries.
+    The clock table is copy-on-write: every mutation replaces ``_clocks``
+    with a fresh dict, so :meth:`snapshot` returns the table itself by
+    reference (O(1)).  The exploration engine takes hundreds of thousands
+    of snapshots over tables of a handful of replicas; the per-mutation
+    copy is a few entries.
     """
 
-    def __init__(self, persistent: bool = False) -> None:
-        self._clocks: Dict[str, int] = {}
-        self._persistent = persistent
+    def __init__(self) -> None:
+        self._clocks: Mapping[str, int] = {}
 
     def fresh(self, replica: str) -> Timestamp:
         """Sample a fresh timestamp at ``replica``."""
         counter = self._clocks.get(replica, 0) + 1
-        if self._persistent:
-            self._clocks = {**self._clocks, replica: counter}
-        else:
-            self._clocks[replica] = counter
+        self._clocks = {**self._clocks, replica: counter}
         return Timestamp(counter, replica)
 
     def observe(self, replica: str, ts: object) -> None:
@@ -135,10 +130,7 @@ class TimestampGenerator:
         one at all).
         """
         if counter > self._clocks.get(replica, 0):
-            if self._persistent:
-                self._clocks = {**self._clocks, replica: counter}
-            else:
-                self._clocks[replica] = counter
+            self._clocks = {**self._clocks, replica: counter}
 
     def clock(self, replica: str) -> int:
         """Current logical clock value at ``replica`` (0 if never used)."""
@@ -149,22 +141,16 @@ class TimestampGenerator:
 
         The public face of the generator's state: runtime systems
         snapshot/restore through this pair instead of reaching into the
-        private clock table.  The token is independent of later
-        ``fresh``/``observe`` calls — an explicit copy normally, the
-        never-mutated table itself under ``persistent=True``.
+        private clock table.  The token is the never-mutated table
+        itself, so it is independent of later ``fresh``/``observe`` calls.
         """
-        if self._persistent:
-            return self._clocks
-        return dict(self._clocks)
+        return self._clocks
 
     def restore(self, token: Mapping[str, int]) -> None:
         """Rewind the clocks to a :meth:`snapshot` token (reusable)."""
-        if self._persistent:
-            # The token is an immutable-by-convention table: adopt it as-is
-            # and keep it unmutated (the next mutation replaces the dict).
-            self._clocks = dict(token) if not isinstance(token, dict) else token
-        else:
-            self._clocks = dict(token)
+        # Adopt the token as-is: the next mutation replaces the table,
+        # so the token itself is never written to.
+        self._clocks = token
 
 
 @dataclass(frozen=True)

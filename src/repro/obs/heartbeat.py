@@ -4,7 +4,7 @@ A long ``--jobs N`` campaign is silent between launch and verdict; the
 heartbeat layer makes each worker emit a small liveness record every
 ``interval`` seconds: configurations/sec since the last beat, current
 frontier depth, steal-queue length, dedup hit rate, spill-tier size,
-persistent-snapshot sharing ratio, and the task the worker is on.
+and the task the worker is on.
 
 The hot-path contract matches ``NULL_INSTRUMENTATION``: the engine
 holds ``heartbeat = None`` and its DFS pays exactly one attribute check
@@ -124,7 +124,6 @@ class HeartbeatEmitter:
             "queue": self._queue_len(),
             "dedup_ratio": self._dedup_ratio(stats),
             "spill": self._spill_size(),
-            "pstate_ratio": self._pstate_ratio(stats),
         }
         self._last_beat = now
         if configs is not None:
@@ -147,14 +146,6 @@ class HeartbeatEmitter:
         visited = getattr(stats, "states_visited", 0) or 0
         deduped = getattr(stats, "states_deduped", 0) or 0
         return _ratio(deduped, visited + deduped)
-
-    @staticmethod
-    def _pstate_ratio(stats: Any) -> Optional[float]:
-        if stats is None:
-            return None
-        copied = getattr(stats, "pstate_copied", 0) or 0
-        shared = getattr(stats, "pstate_shared", 0) or 0
-        return _ratio(shared, copied + shared)
 
     def _spill_size(self) -> Optional[int]:
         store = self._fp_store

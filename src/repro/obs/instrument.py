@@ -216,14 +216,6 @@ class Instrumentation:
             m.counter("explore.dpor.full_expansions", **labels).inc(
                 stats.dpor_full_expansions
             )
-        if stats.pstate_copied:
-            m.counter("explore.pstate.nodes_copied", **labels).inc(
-                stats.pstate_copied
-            )
-        if stats.pstate_shared:
-            m.counter("explore.pstate.nodes_shared", **labels).inc(
-                stats.pstate_shared
-            )
 
     def record_steal(self, stats: Any) -> None:
         """Record one work-stealing pool run's scheduler counters.

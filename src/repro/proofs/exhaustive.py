@@ -163,22 +163,17 @@ def _make_visit(
     return visit
 
 
-def _system_factory(entry: CRDTEntry, programs: Dict[str, Program], por: str):
+def _system_factory(entry: CRDTEntry, programs: Dict[str, Program]):
     """The engine's ``make_system`` for ``entry`` over ``programs``.
 
     Op-based entries get an :class:`OpBasedSystem`, state-based ones a
-    :class:`StateBasedSystem`.  Source-DPOR branches orders of magnitude
-    more often than it mutates, so under ``por="source"`` the systems use
-    persistent (hash-trie) containers that make each branch point
-    O(delta) instead of O(configuration).
+    :class:`StateBasedSystem`.
     """
     system_cls = OpBasedSystem if entry.kind == "OB" else StateBasedSystem
     replicas = sorted(programs)
-    persistent = por == "source"
 
     def make_system():
-        return system_cls(entry.make_crdt(), replicas=replicas,
-                          persistent=persistent)
+        return system_cls(entry.make_crdt(), replicas=replicas)
 
     return make_system
 
@@ -235,8 +230,7 @@ def exhaustive_verify(
 
     ``por`` selects the partial-order-reduction flavor: ``"sleep"``
     (classic sleep sets, the differential oracle) or ``"source"``
-    (source-DPOR — race-driven source sets over the sleep sets, plus
-    persistent structural-sharing snapshots in the runtime systems).
+    (source-DPOR — race-driven source sets over the sleep sets).
     Both visit the same configuration set; source explores fewer
     interleavings to get there.
 
@@ -337,7 +331,7 @@ def _verify_scope(
     ins.journal_event("scope.start", entry=entry.name, family=entry.kind)
     if heartbeat is not None:
         heartbeat.begin_task(entry.name)
-    make_system = _system_factory(entry, programs, por)
+    make_system = _system_factory(entry, programs)
     if entry.kind == "OB":
         gossip: Dict[str, int] = {}
         explore, explore_naive = explore_op_programs, explore_op_programs_naive

@@ -414,7 +414,7 @@ def format_metrics(artifact: Mapping[str, Any]) -> str:
     for key in instruments:
         name = key.split("{", 1)[0]
         if name.startswith(("explore.steal.", "explore.fp_store.",
-                            "explore.dpor.", "explore.pstate.")):
+                            "explore.dpor.")):
             value = instruments[key].get("value")
             if value is not None:
                 totals[name] = totals.get(name, 0.0) + value
@@ -441,8 +441,6 @@ def format_metrics(artifact: Mapping[str, Any]) -> str:
             ("dpor redundant avoided",
              total("explore.dpor.redundant_avoided")),
             ("dpor full expansions", total("explore.dpor.full_expansions")),
-            ("pstate nodes copied", total("explore.pstate.nodes_copied")),
-            ("pstate nodes shared", total("explore.pstate.nodes_shared")),
         ]
         for label, value in rows:
             if value:
@@ -451,13 +449,6 @@ def format_metrics(artifact: Mapping[str, Any]) -> str:
         if lookups:
             ratio = total("explore.fp_store.hits") / lookups
             lines.append(f"  {'fp-store hit ratio':<52} {ratio:>12.4f}")
-        copied = total("explore.pstate.nodes_copied")
-        shared = total("explore.pstate.nodes_shared")
-        if copied or shared:
-            # The observable O(delta) claim: how many trie nodes each
-            # branch point reused instead of copying.
-            ratio = shared / (copied + shared) if copied + shared else 0.0
-            lines.append(f"  {'pstate sharing ratio':<52} {ratio:>12.4f}")
         # Metric families this artifact predates (or whose machinery was
         # off) are named explicitly — "(absent)" distinguishes "not
         # recorded" from "recorded zero" when reading old snapshots.
@@ -465,7 +456,6 @@ def format_metrics(artifact: Mapping[str, Any]) -> str:
             ("work stealing", "explore.steal."),
             ("fingerprint store", "explore.fp_store."),
             ("source-DPOR", "explore.dpor."),
-            ("persistent state", "explore.pstate."),
         ]
         for label, prefix in families:
             if not any(name.startswith(prefix) for name in totals):

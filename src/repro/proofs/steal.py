@@ -249,8 +249,17 @@ _ScopeSpec = Tuple[str, Dict[str, Program], Optional[int], Optional[bool],
                    Optional[bool], bool, str]
 
 
+def _scope_engine(entry: CRDTEntry, programs: Dict[str, Program],
+                  max_gossips: Optional[int], visit, **options):
+    """The exploration engine for one scope: the worker sessions' engine
+    and the seed planner's root domain are built by this one call."""
+    kind = "op" if entry.kind == "OB" else "state"
+    return build_engine(kind, _system_factory(entry, programs), programs,
+                        visit, max_gossips=max_gossips or 0, **options)
+
+
 class _Session:
-    """One worker's persistent engine session for one scope.
+    """One worker's engine session for one scope.
 
     Created lazily on the first task of the scope and reused for every
     later one: the domain, visited/expanded records, fingerprint store
@@ -279,10 +288,8 @@ class _Session:
             FingerprintStore(spill_dir=spill_dir) if use_fp_store else None
         )
         self.kind = "op" if entry.kind == "OB" else "state"
-        self.engine = build_engine(
-            self.kind, _system_factory(entry, programs, por), programs,
-            visit,
-            max_gossips=max_gossips or 0,
+        self.engine = _scope_engine(
+            entry, programs, max_gossips, visit,
             reduction=entry.reduction if reduction is None else reduction,
             symmetry=entry.symmetry if symmetry is None else symmetry,
             stats=self.stats,
@@ -396,32 +403,6 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
                    traceback.format_exc()))
 
 
-def _root_transitions(
-    kind: str, programs: Dict[str, Program], max_gossips: Optional[int]
-) -> List[Tuple]:
-    """The exploration root's out-edges, in domain order.
-
-    At the root no label has been generated, so the only op-based
-    transitions are the first invocations; state-based roots additionally
-    offer every ordered gossip pair while budget remains.  Mirrors the
-    ``transitions`` of ``_OpDomain`` / ``_StateDomain`` (subclasses of
-    ``_Domain`` in :mod:`repro.runtime.explore_engine`), which walk the
-    replicas in ``programs``' own order: a seed's branch index must name
-    the same transition in every worker's domain, so this order is not
-    sorted, whatever replica order the systems are built with.
-    """
-    replicas = list(programs)
-    trans: List[Tuple] = [
-        ("inv", r, 0) for r in replicas if programs[r]
-    ]
-    if kind == "SB" and (max_gossips or 0) > 0:
-        for source in replicas:
-            for target in replicas:
-                if source != target:
-                    trans.append(("gos", source, target))
-    return trans
-
-
 def _symmetric_root_reps(
     entry: CRDTEntry,
     transitions: List[Tuple],
@@ -468,7 +449,11 @@ def _seed_tasks(
         scope_table.append(
             (entry.name, programs, gossips, reduction, symmetry, cache, por)
         )
-        transitions = _root_transitions(entry.kind, programs, gossips)
+        # A seed's branch index must name the same transition in every
+        # worker's domain, so read the root's out-edges from one.
+        transitions = _scope_engine(
+            entry, programs, gossips, lambda system, returns: None
+        ).domain.transitions()
         branches = list(range(max(1, len(transitions))))
         if (entry.symmetry if symmetry is None else symmetry) and transitions:
             branches = _symmetric_root_reps(entry, transitions, programs)
@@ -535,8 +520,6 @@ def _merge_branches(
                 stats.dpor_redundant_avoided
             )
             merged.stats.dpor_full_expansions += stats.dpor_full_expansions
-            merged.stats.pstate_copied += stats.pstate_copied
-            merged.stats.pstate_shared += stats.pstate_shared
         if result.fp_store is not None:
             if merged.fp_store is None:
                 merged.fp_store = FPStoreStats()

@@ -80,7 +80,6 @@ from typing import (
 
 from ..core.errors import PreconditionViolation
 from ..obs.instrument import Instrumentation, NULL_INSTRUMENTATION
-from . import pstate
 from .state_system import StateBasedSystem
 from .symmetry import (
     SymmetryReducer,
@@ -162,10 +161,8 @@ class ExploreStats:
     #: the stats schema (the benchmark harness) stay valid.
     dpor_wakeup_fallbacks: int = 0
     dpor_patch_cuts: int = 0
-    #: Persistent-snapshot mode: hash-trie nodes allocated (path copies).
+    #: Always 0: the hash tries are gone; perfbench/workloads.py reads them.
     pstate_copied: int = 0
-    #: Persistent-snapshot mode: child pointers reused by those copies —
-    #: structure shared instead of duplicated.
     pstate_shared: int = 0
 
     @property
@@ -1174,7 +1171,6 @@ class _Engine:
         reused across tasks reports its total exploration time.
         """
         started = time.perf_counter()
-        pstate_mark = pstate.STATS.snapshot()
         try:
             if path is not None:
                 self._run_path(path, sleep)
@@ -1192,9 +1188,6 @@ class _Engine:
                     "budget.exhausted",
                     configurations=self.stats.configurations,
                 )
-        copied, shared = pstate.STATS.snapshot()
-        self.stats.pstate_copied += copied - pstate_mark[0]
-        self.stats.pstate_shared += shared - pstate_mark[1]
         self.stats.wall_time += time.perf_counter() - started
         return self.stats
 

@@ -7,7 +7,7 @@ bit-for-bit identical with the classic sleep-set explorer on every
 registry entry, serially and through the work-stealing pool, with
 replica symmetry on and off.  A registry-level pin of the
 ``snapshot_safe=False`` deepcopy fallback rides along: a CRDT that
-mutates its state in place must bypass persistent snapshots and still
+mutates its state in place must bypass snapshots and still
 verify identically under both POR flavors.
 """
 

@@ -25,7 +25,6 @@ from repro.proofs.parallel import (
 from repro.proofs.registry import ALL_ENTRIES, entry_by_name
 from repro.proofs.report import verify_entry
 from repro.proofs.steal import (
-    _root_transitions,
     _seed_tasks,
     exhaustive_verify_steal,
     verify_scopes_steal,
@@ -214,8 +213,6 @@ class TestSymmetricSharding:
 
     def test_symmetric_branches_are_skipped(self):
         entry = entry_by_name("Counter")
-        transitions = _root_transitions("OB", self.SYM_PROGRAMS, None)
-        assert len(transitions) == 2
         scope = [(entry, self.SYM_PROGRAMS, None)]
         _, seeds = _seed_tasks(scope, None, None, True)
         assert [seed[3] for seed in seeds] == [0]  # second branch ≅ first

@@ -1,7 +1,7 @@
 """``repro stats`` must render artifacts from any repo vintage (S1).
 
 Older metrics artifacts predate whole metric families (steal, fp-store,
-DPOR, pstate) and even individual dump fields.  ``format_metrics`` must
+DPOR) and even individual dump fields.  ``format_metrics`` must
 degrade gracefully — ``-`` for missing values, explicit ``(absent)``
 rows for missing families — never crash.
 """
@@ -46,8 +46,7 @@ def test_pre_observatory_artifact_names_absent_families():
             "labels": {"kind": "op"}, "deterministic": False, "value": 42,
         },
     }))
-    for label in ("work stealing", "fingerprint store", "source-DPOR",
-                  "persistent state"):
+    for label in ("work stealing", "fingerprint store", "source-DPOR"):
         assert f"{label:<52} {'(absent)':>12}" in rendered
 
 
@@ -60,7 +59,7 @@ def test_present_family_is_not_marked_absent():
     }))
     assert "tasks stolen" in rendered
     lines = [line for line in rendered.splitlines() if "(absent)" in line]
-    assert len(lines) == 3  # fp-store, dpor, pstate — but not stealing
+    assert len(lines) == 2  # fp-store, dpor — but not stealing
     assert not any("work stealing" in line for line in lines)
 
 

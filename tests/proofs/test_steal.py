@@ -154,6 +154,21 @@ class TestStealMatchesSerial:
         assert stolen.ok == serial.ok
         assert stolen.configurations == serial.configurations
 
+    @pytest.mark.parametrize("por", PORS)
+    def test_unsorted_replica_order_gossip(self, por):
+        # The state-based root also offers every ordered gossip pair;
+        # seed indices must name the same gossip edge in every worker.
+        entry = entry_by_name("G-Counter")
+        program = [("inc", ()), ("read", ())]
+        programs = {"r3": [("read", ())], "r1": program, "r2": program}
+        serial = exhaustive_verify_state(entry, programs, max_gossips=1,
+                                         por=por)
+        stolen = exhaustive_verify_steal(
+            entry, programs, jobs=2, max_gossips=1, por=por, **FORCE
+        )
+        assert stolen.ok == serial.ok
+        assert stolen.configurations == serial.configurations
+
     def test_raw_fingerprints_without_store(self):
         # fp_store=False falls back to raw-fingerprint sets (the static
         # path's representation); the merge must still be exact.
